@@ -1071,7 +1071,25 @@ let check_cmd =
           outcome;
         match outcome with Check.Pass _ -> true | Check.Fail _ -> false
       in
-      let ok_bfs = report "explore" (Check.explore cfg ~depth) in
+      let t0 = Unix.gettimeofday () in
+      let outcome = Check.explore cfg ~depth in
+      let host = Unix.gettimeofday () -. t0 in
+      let ok_bfs = report "explore" outcome in
+      (* Host cost of the exhaustive run. The heap figure is the process
+         peak so far, so with several configurations it is cumulative. *)
+      let rate =
+        match outcome with
+        | Check.Pass { states; _ } ->
+            Printf.sprintf ", %.0f states/s" (float_of_int states /. host)
+        | Check.Fail _ -> ""
+      in
+      let top_heap_mb =
+        float_of_int
+          ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
+        /. 1e6
+      in
+      Format.printf "%-12s %-6s host %.2f s%s, top heap %.0f MB@." "" "" host
+        rate top_heap_mb;
       let ok_fuzz =
         fuzz_steps <= 0
         || report "fuzz"

@@ -24,6 +24,8 @@ type line = { mutable pstate : States.pstate; data : Linedata.t }
 type t = {
   cfg : cfg;
   proto : Protocol.t;
+  fabric : Fabric.t;
+  alphabet : Op.t list; (* every op of the model, in exploration order *)
   priv : (int, line) Hashtbl.t array;
   llc : (int, Linedata.t) Hashtbl.t;
   counts : int array array; (* [core].(blk): committed stores *)
@@ -68,8 +70,13 @@ let slot_off core = (core land 7) * 8
 let probe_of line =
   { Fabric.levels = 2; state = line.pstate; data = line.data }
 
-let mk_fabric ~machine ~(priv : (int, line) Hashtbl.t array)
-    ~(llc : (int, Linedata.t) Hashtbl.t) =
+(* [energy], [stats] and [obs] are write-only sinks: no protocol reads
+   them back to decide a transition and the checker never inspects them.
+   A root world builds them once and every fork reuses its parent's, so a
+   fork costs only its caches, LLC lines and protocol state. *)
+let mk_fabric ~machine ~energy ~stats ~obs
+    ~(priv : (int, line) Hashtbl.t array) ~(llc : (int, Linedata.t) Hashtbl.t)
+    =
   (* Snooping protocols broadcast over every core of the [machine], which
      may be wider than the model's [cores] — absent cores simply hold
      nothing. *)
@@ -87,9 +94,9 @@ let mk_fabric ~machine ~(priv : (int, line) Hashtbl.t array)
   in
   {
     Fabric.config = machine;
-    energy = Energy.create ();
-    stats = Pstats.create ();
-    obs = Warden_obs.Obs.create machine;
+    energy;
+    stats;
+    obs;
     peek_priv = (fun ~core ~blk -> Option.map probe_of (find_priv ~core ~blk));
     invalidate_priv =
       (fun ~core ~blk ->
@@ -129,10 +136,20 @@ let create cfg =
     invalid_arg "World.create: blks must be in 1..256";
   let priv = Array.init cfg.cores (fun _ -> Hashtbl.create 16) in
   let llc = Hashtbl.create 64 in
-  let fabric = mk_fabric ~machine:cfg.machine ~priv ~llc in
+  let energy = Energy.create () and stats = Pstats.create () in
+  let obs = Warden_obs.Obs.create cfg.machine in
+  let fabric = mk_fabric ~machine:cfg.machine ~energy ~stats ~obs ~priv ~llc in
+  let proto = cfg.mk fabric in
+  let alphabet =
+    let base = Op.all ~cores:cfg.cores ~blks:cfg.blks ~regions:cfg.regions in
+    if Protocol.kind proto = `Self then base @ Op.sync ~cores:cfg.cores
+    else base
+  in
   {
     cfg;
-    proto = cfg.mk fabric;
+    proto;
+    fabric;
+    alphabet;
     priv;
     llc;
     counts = Array.make_matrix cfg.cores cfg.blks 0;
@@ -157,10 +174,15 @@ let copy t =
   in
   let llc = Hashtbl.create 16 in
   Hashtbl.iter (fun blk l -> Hashtbl.add llc blk (Linedata.copy l)) t.llc;
-  let fabric = mk_fabric ~machine:t.cfg.machine ~priv ~llc in
+  let { Fabric.energy; stats; obs; _ } = t.fabric in
+  let fabric =
+    mk_fabric ~machine:t.cfg.machine ~energy ~stats ~obs ~priv ~llc
+  in
   {
     cfg = t.cfg;
     proto = Protocol.copy t.proto ~fabric;
+    fabric;
+    alphabet = t.alphabet;
     priv;
     llc;
     counts = Array.map Array.copy t.counts;
@@ -178,10 +200,6 @@ let region_range t r =
 let is_self t = Protocol.kind t.proto = `Self
 
 let enabled t =
-  let base = Op.all ~cores:t.cfg.cores ~blks:t.cfg.blks ~regions:t.cfg.regions in
-  let alphabet =
-    if is_self t then base @ Op.sync ~cores:t.cfg.cores else base
-  in
   List.filter
     (fun op ->
       match op with
@@ -194,7 +212,7 @@ let enabled t =
       (* Fences are idempotent; only explore ones that can change state. *)
       | Op.Acquire c -> not t.fresh.(c)
       | Op.Release c -> not t.synced.(c))
-    alphabet
+    t.alphabet
 
 let install t ~core ~blk (g : Mesi.grant) =
   if not (Mesi.has_fill g) then

@@ -68,10 +68,13 @@ val proto : t -> Protocol.t
 val steps : t -> int
 
 val copy : t -> t
-(** Fork the whole memory system — caches, LLC, oracle counts, and the
-    protocol state (via {!Warden_proto.Protocol.copy}, rebound to the
-    fork's fabric). The explorer forks a world per successor instead of
-    replaying operation prefixes. *)
+(** Fork the whole memory system — caches, LLC, oracle counts, region
+    activations, fence flags, and the protocol state (via
+    {!Warden_proto.Protocol.copy}, rebound to the fork's fabric). The
+    explorer forks a world per successor instead of replaying operation
+    prefixes. The fork's fabric shares its parent's write-only accounting
+    sinks ([energy], [stats], [obs], all built once by {!create}) and op
+    alphabet; everything a transition reads is independent. *)
 
 val encode : core:int -> blk:int -> int -> int64
 (** [encode ~core ~blk k] is the value of core [core]'s [k]-th store to

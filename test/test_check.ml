@@ -45,16 +45,18 @@ let test_mesi_closure () =
   Alcotest.(check int) "transitions" 458432 transitions
 
 let test_warden_depth8 () =
-  let states, _, _ =
+  let states, transitions, _ =
     pass "warden" (Check.explore (Check.warden ()) ~depth:8)
   in
-  Alcotest.(check int) "states" 202032 states
+  Alcotest.(check int) "states" 202032 states;
+  Alcotest.(check int) "transitions" 1103908 transitions
 
 let test_equivalence_depth8 () =
-  let states, _, _ =
+  let states, transitions, _ =
     pass "mesi=warden" (Check.explore (Check.equivalence ()) ~depth:8)
   in
-  Alcotest.(check int) "states" 70916 states
+  Alcotest.(check int) "states" 70916 states;
+  Alcotest.(check int) "transitions" 468824 transitions
 
 (* The snooping-MSI small model also closes: no E state, so it is smaller
    than MESI's. *)
@@ -136,6 +138,61 @@ let test_world_dump_and_observe () =
     (fun needle ->
       Alcotest.(check bool) ("dump mentions " ^ needle) true (contains d needle))
     [ "protocol warden"; "region ["; "core 0"; "llc"; "oracle" ]
+
+(* --- the fork contract ------------------------------------------------------ *)
+
+let sinks w =
+  let f = Protocol.fabric (World.proto w) in
+  (f.Fabric.energy, f.Fabric.stats, f.Fabric.obs)
+
+let shares_sinks a b =
+  let ea, sa, oa = sinks a and eb, sb, ob = sinks b in
+  ea == eb && sa == sb && oa == ob
+
+(* A fork reuses its root's write-only accounting sinks and owns all the
+   rest: one more operation on a fork leaves its parent untouched. The ops
+   cover every piece of forked state between them — a region removal
+   reconciles through the LLC and invalidates copies, a store bumps the
+   oracle counts, an eviction empties a cache line. *)
+let test_fork_contract () =
+  let w = World.create (world_cfg ~blks:2 Warden_core.Warden.protocol) in
+  List.iter
+    (fun op -> ignore (World.apply w op))
+    [
+      Op.Region_add 0;
+      Op.Store { core = 0; blk = 0 };
+      Op.Store { core = 1; blk = 0 };
+      Op.Load { core = 0; blk = 1 };
+    ];
+  let key = World.key w and dump = World.dump w in
+  List.iter
+    (fun op ->
+      let name = Op.to_string op in
+      let f = World.copy w in
+      ignore (World.apply f op);
+      Alcotest.(check bool) (name ^ " changed the fork") true
+        (World.key f <> key);
+      Alcotest.(check string) (name ^ ": parent key unchanged") key
+        (World.key w);
+      Alcotest.(check string) (name ^ ": parent dump unchanged") dump
+        (World.dump w);
+      Alcotest.(check bool) (name ^ ": fork shares energy, stats and obs") true
+        (shares_sinks w f))
+    [
+      Op.Region_remove 0;
+      Op.Store { core = 1; blk = 1 };
+      Op.Evict { core = 0; blk = 1 };
+    ];
+  (* A lockstep pair is two roots, forked side by side: each side keeps
+     its own sinks through every fork. *)
+  let side mk =
+    World.create { (world_cfg ~blks:2 mk) with World.region_base = 2 }
+  in
+  let a = side Warden_core.Warden.protocol and b = side Protocol.mesi in
+  let a' = World.copy a and b' = World.copy b in
+  Alcotest.(check bool) "sides do not share sinks" false (shares_sinks a b);
+  Alcotest.(check bool) "each side's fork keeps its own sinks" true
+    (shares_sinks a a' && shares_sinks b b')
 
 (* --- fuzzing ---------------------------------------------------------------- *)
 
@@ -350,6 +407,8 @@ let suite =
     Alcotest.test_case "region add/remove round trip" `Quick
       test_region_roundtrip;
     Alcotest.test_case "dump and observe" `Quick test_world_dump_and_observe;
+    Alcotest.test_case "fork shares only the accounting sinks" `Quick
+      test_fork_contract;
     Alcotest.test_case "fuzz is deterministic" `Quick test_fuzz_deterministic;
     Alcotest.test_case "mutation: dropped invalidations" `Quick
       test_mutation_no_inval;
