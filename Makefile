@@ -23,18 +23,22 @@ build:
 test:
 	dune runtest
 
-# Deep model-checking sweep across the protocol zoo. MESI, snooping MSI
-# and the 2-core SI/SD model close their full reachable state spaces
-# (depth 64 far exceeds their closure diameters); WARDen's W states and
-# the 3-core SI/SD fence alphabet blow the space up, so those — and the
-# two lockstep pairs — run depth-bounded and lean on the long fuzz walk
-# for depth. `dune runtest` already runs a faster bounded configuration.
+# Deep model-checking sweep across the protocol zoo. MESI, snooping MSI,
+# WARDen and the 2-core SI/SD model close their full reachable state
+# spaces (depth 64 far exceeds their closure diameters; WARDen closes
+# because states are keyed up to core renaming, and its run fails unless
+# it reports closure). The 3-core SI/SD fence alphabet still blows the
+# space up, so it — and the two lockstep pairs — run depth-bounded and
+# lean on the long fuzz walk for depth. `dune runtest` already runs a
+# faster bounded configuration.
 check: build
 	dune exec bin/warden_cli.exe -- check -p mesi --depth 64 --fuzz-steps 20000
 	dune exec bin/warden_cli.exe -- check -p msi-bus --depth 64 --fuzz-steps 20000
 	dune exec bin/warden_cli.exe -- check -p sisd --cores 2 --depth 64 --fuzz-steps 20000
 	dune exec bin/warden_cli.exe -- check -p sisd --depth 8 --fuzz-steps 20000
-	dune exec bin/warden_cli.exe -- check -p warden --depth 8 --fuzz-steps 20000
+	out=$$(dune exec bin/warden_cli.exe -- check -p warden --depth 64 --fuzz-steps 20000); \
+	  st=$$?; echo "$$out"; \
+	  test $$st -eq 0 && echo "$$out" | grep -q "state space exhausted"
 	dune exec bin/warden_cli.exe -- check -p equiv --depth 8 --fuzz-steps 20000
 	dune exec bin/warden_cli.exe -- check -p msi-lockstep --depth 8 --fuzz-steps 20000
 

@@ -1075,8 +1075,9 @@ let check_cmd =
       let outcome = Check.explore cfg ~depth in
       let host = Unix.gettimeofday () -. t0 in
       let ok_bfs = report "explore" outcome in
-      (* Host cost of the exhaustive run. The heap figure is the process
-         peak so far, so with several configurations it is cumulative. *)
+      (* Host cost of the exhaustive run, and the order of the core-renaming
+         group it was reduced by. The heap figure is the process peak so
+         far, so with several configurations it is cumulative. *)
       let rate =
         match outcome with
         | Check.Pass { states; _ } ->
@@ -1088,8 +1089,8 @@ let check_cmd =
           ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
         /. 1e6
       in
-      Format.printf "%-12s %-6s host %.2f s%s, top heap %.0f MB@." "" "" host
-        rate top_heap_mb;
+      Format.printf "%-12s %-6s host %.2f s%s, top heap %.0f MB, symmetry %d@."
+        "" "" host rate top_heap_mb (Check.symmetry cfg);
       let ok_fuzz =
         fuzz_steps <= 0
         || report "fuzz"

@@ -140,7 +140,15 @@ let audit cfg = function
       if cfg.data_only then World.compare_data a b
       else World.compare_states a b
 
-let key = function One w -> World.key w | Two (a, b) -> World.key a ^ World.key b
+(* The visited-set key: the state up to core renaming. A lockstep pair is
+   renamed jointly — renaming each side on its own would merge pairs that
+   are not renamings of each other. *)
+let key = function
+  | One w -> World.canonical_key [ w ]
+  | Two (a, b) -> World.canonical_key [ a; b ]
+
+let symmetry cfg =
+  match make cfg with One w | Two (w, _) -> List.length (World.symmetries w)
 
 let dump = function
   | One w -> World.dump w
@@ -235,7 +243,7 @@ let counterexample cfg ops =
 
 exception Found of Op.t list
 
-(* Breadth-first exploration with canonical-state memoization. Each node
+(* Breadth-first exploration with memoization up to core renaming. Each node
    carries its forked world ({!World.copy}) so successors cost one fork
    plus one operation — no prefix replay — and every state is expanded
    exactly once. A fork owns only what a transition can change (caches,

@@ -5,8 +5,12 @@
 
     - {!explore} enumerates {e every} interleaving of requests, evictions
       and region operations breadth-first up to a depth bound, with
-      canonical-state memoization ({!World.key}) so that converging
-      interleavings are explored once. Each frontier node carries a forked
+      memoization up to core renaming ({!World.canonical_key}) so that
+      converging interleavings, and states that differ only by a
+      socket-preserving renaming of the cores ({!World.symmetries}), are
+      explored once. Frontier worlds stay concrete and paths are real
+      operation sequences; only the visited-set key is reduced. Each
+      frontier node carries a forked
       world ({!World.copy}), so a successor costs one fork plus one
       operation — no prefix replay. With a store cap the reachable state
       space is finite; when it closes before the depth bound the report
@@ -142,11 +146,30 @@ type counterexample = {
 
 type outcome =
   | Pass of { states : int; transitions : int; complete : bool }
-      (** [states] distinct canonical states, [transitions] edges checked.
+      (** [states] distinct states up to core renaming, [transitions]
+          edges checked.
           [complete] means the state space closed before the depth bound:
           the whole reachable space was covered. (Always false for
           {!fuzz}, which samples rather than enumerates.) *)
   | Fail of counterexample
+
+type sys = One of World.t | Two of World.t * World.t
+(** A system under test: one world, or a lockstep pair (primary first). *)
+
+val make : cfg -> sys
+(** A fresh system for [cfg]. *)
+
+val audit : cfg -> sys -> string list
+(** Every invariant of the system, including the lockstep comparison of a
+    pair; [[]] means clean. *)
+
+val key : sys -> string
+(** The visited-set key {!explore} and {!fuzz} share: the state up to core
+    renaming ({!World.canonical_key}), both worlds of a lockstep pair
+    renamed together. *)
+
+val symmetry : cfg -> int
+(** The order of the core-renaming group {!explore} reduces by. *)
 
 val explore : cfg -> depth:int -> outcome
 (** Exhaustive exploration of every interleaving up to [depth]

@@ -16,6 +16,28 @@ type cfg = {
 
 type line = { mutable pstate : States.pstate; data : Linedata.t }
 
+(* Working storage of {!canonical_key}, built once per root world and
+   shared by all its forks (a checker explores one family of forks on one
+   domain, one state at a time). Each state is extracted once into [hdr],
+   [tag] and [src]; every candidate renaming is then written from there
+   into [cand] and compared with [best], with no allocation per candidate.
+   A line's [src] record is its dirty mask followed by its [cores] 8-byte
+   slots, exactly the bytes {!key} writes for it. *)
+type scratch = {
+  hdr : int array;
+      (* per block: directory state, owner, sharer mask, wmulti|ward flags *)
+  tag : int array;
+      (* per (block, line), line [cores] being the LLC: 0 when absent, else
+         the presence byte {!key} writes *)
+  src : Bytes.t;
+  sg : int array; (* per core: renaming-invariant signature *)
+  ord : int array; (* cores sorted by (socket, signature) *)
+  run_end : int array; (* end of [ord.(i)]'s tie run *)
+  fwd : int array; (* candidate renaming: old core -> new; [ord] inverts it *)
+  mutable best : Bytes.t;
+  mutable cand : Bytes.t;
+}
+
 (* The LLC hashtable is the terminal storage of the small model: lines are
    zero-filled on first touch (`Zero`) and never evicted to a DRAM layer —
    the protocols under test reach memory only through the fabric
@@ -38,6 +60,7 @@ type t = {
   synced : bool array;
   fresh : bool array;
   mutable nsteps : int;
+  scratch : scratch;
 }
 
 type result = { latency : int; value : int64 option; accepted : bool }
@@ -157,6 +180,19 @@ let create cfg =
     synced = Array.make cfg.cores true;
     fresh = Array.make cfg.cores true;
     nsteps = 0;
+    scratch =
+      (let n = cfg.cores and lines = cfg.blks * (cfg.cores + 1) in
+       {
+         hdr = Array.make (4 * cfg.blks) 0;
+         tag = Array.make lines 0;
+         src = Bytes.create (lines * 8 * (n + 1));
+         sg = Array.make n 0;
+         ord = Array.make n 0;
+         run_end = Array.make n 0;
+         fwd = Array.make n 0;
+         best = Bytes.empty;
+         cand = Bytes.empty;
+       });
   }
 
 let copy t =
@@ -190,6 +226,7 @@ let copy t =
     synced = Array.copy t.synced;
     fresh = Array.copy t.fresh;
     nsteps = t.nsteps;
+    scratch = t.scratch;
   }
 
 let region_range t r =
@@ -520,33 +557,36 @@ let check t =
 
 (* ---- canonical fingerprint ------------------------------------------------ *)
 
+let dstate_code = function
+  | States.D_I -> 0
+  | States.D_S -> 1
+  | States.D_E -> 2
+  | States.D_M -> 3
+  | States.D_W -> 4
+
+let pstate_code = function States.P_S -> 1 | States.P_E -> 2 | States.P_M -> 3
+let sharer_mask v = List.fold_left (fun m c -> m lor (1 lsl c)) 0 v
+let fence_code t c =
+  (if t.synced.(c) then 1 else 0) lor if t.fresh.(c) then 2 else 0
+
+let block_flags t (v : Protocol.block_view) ~blk =
+  (if v.Protocol.bv_wmulti then 1 else 0)
+  lor if Protocol.is_ward t.proto ~blk then 2 else 0
+
 let key t =
   let b = Buffer.create 512 in
   let add_i64 = Buffer.add_int64_le b in
   for blk = 0 to t.cfg.blks - 1 do
     let v = Protocol.observe t.proto ~blk in
-    Buffer.add_uint8 b
-      (match v.Protocol.bv_state with
-      | States.D_I -> 0
-      | States.D_S -> 1
-      | States.D_E -> 2
-      | States.D_M -> 3
-      | States.D_W -> 4);
+    Buffer.add_uint8 b (dstate_code v.Protocol.bv_state);
     Buffer.add_uint8 b (v.Protocol.bv_owner + 1);
-    Buffer.add_uint8 b
-      (List.fold_left (fun m c -> m lor (1 lsl c)) 0 v.Protocol.bv_sharers);
-    Buffer.add_uint8 b
-      ((if v.Protocol.bv_wmulti then 1 else 0)
-      lor if Protocol.is_ward t.proto ~blk then 2 else 0);
+    Buffer.add_uint8 b (sharer_mask v.Protocol.bv_sharers);
+    Buffer.add_uint8 b (block_flags t v ~blk);
     for core = 0 to t.cfg.cores - 1 do
       match Hashtbl.find_opt t.priv.(core) blk with
       | None -> Buffer.add_uint8 b 0
       | Some line ->
-          Buffer.add_uint8 b
-            (match line.pstate with
-            | States.P_S -> 1
-            | States.P_E -> 2
-            | States.P_M -> 3);
+          Buffer.add_uint8 b (pstate_code line.pstate);
           add_i64 (Linedata.dirty_mask line.data);
           for slot = 0 to t.cfg.cores - 1 do
             add_i64 (Linedata.load line.data ~off:(slot_off slot) ~size:8)
@@ -569,10 +609,263 @@ let key t =
      differ only in pending-publication status have different futures. *)
   if is_self t then
     for c = 0 to t.cfg.cores - 1 do
-      Buffer.add_uint8 b
-        ((if t.synced.(c) then 1 else 0) lor if t.fresh.(c) then 2 else 0)
+      Buffer.add_uint8 b (fence_code t c)
     done;
   Buffer.contents b
+
+(* ---- core symmetry -------------------------------------------------------- *)
+
+(* Renaming core [c] to [perm.(c)] maps a reachable state to another one
+   with the same future whenever every core stays on its socket: a
+   protocol sees a core's identity only through [Config.socket_of_core]
+   (hop latencies, directory messages) and through the sharer and owner
+   sets the renaming moves. Blocks and regions stay put — the region menu
+   is asymmetric (region 1 covers block 0 only). *)
+let symmetries t =
+  let n = t.cfg.cores in
+  let socket = Config.socket_of_core t.cfg.machine in
+  let acc = ref [] and p = Array.make n 0 and used = Array.make n false in
+  let rec go c =
+    if c = n then acc := Array.copy p :: !acc
+    else
+      for d = 0 to n - 1 do
+        if (not used.(d)) && socket d = socket c then begin
+          used.(d) <- true;
+          p.(c) <- d;
+          go (c + 1);
+          used.(d) <- false
+        end
+      done
+  in
+  go 0;
+  List.rev !acc
+
+(* Bytes per line record: the dirty mask, then one 8-byte slot per core. *)
+let line_bytes n = 8 * (n + 1)
+
+let stash s ~n i tag data =
+  s.tag.(i) <- tag;
+  let o = i * line_bytes n in
+  Bytes.set_int64_le s.src o (Linedata.dirty_mask data);
+  Bytes.blit (Linedata.bytes data) 0 s.src (o + 8) (8 * n)
+
+(* Read the state into [t.scratch] once; returns the length of its key. *)
+let extract t =
+  let s = t.scratch and n = t.cfg.cores in
+  let len = ref (Array.length t.active + if is_self t then n else 0) in
+  for blk = 0 to t.cfg.blks - 1 do
+    let v = Protocol.observe t.proto ~blk in
+    let h = 4 * blk and base = blk * (n + 1) in
+    s.hdr.(h) <- dstate_code v.Protocol.bv_state;
+    s.hdr.(h + 1) <- v.Protocol.bv_owner;
+    s.hdr.(h + 2) <- sharer_mask v.Protocol.bv_sharers;
+    s.hdr.(h + 3) <- block_flags t v ~blk;
+    (* header, one presence byte per line, one count per core *)
+    len := !len + 4 + (n + 1) + n;
+    for c = 0 to n - 1 do
+      match Hashtbl.find_opt t.priv.(c) blk with
+      | None -> s.tag.(base + c) <- 0
+      | Some line ->
+          stash s ~n (base + c) (pstate_code line.pstate) line.data;
+          len := !len + line_bytes n
+    done;
+    match Hashtbl.find_opt t.llc blk with
+    | None -> s.tag.(base + n) <- 0
+    | Some l ->
+        stash s ~n (base + n) 1 l;
+        len := !len + line_bytes n
+  done;
+  !len
+
+(* Does the slot at [o] hold [encode c b k] for a model core [c]? Only
+   those values carry a core to rename; zero and anything else stay. *)
+let renamable src o n =
+  let c = Bytes.get_uint8 src (o + 3) in
+  c >= 1 && c <= n
+  && Bytes.get_uint16_le src o <> 0
+  && Bytes.get_uint16_le src (o + 4) = 0
+  && Bytes.get_uint16_le src (o + 6) = 0
+
+(* One line record under the renaming: byte group [j] of the dirty mask
+   and slot [j] come from the old slot [inv.(j)], and each value's core
+   field is renamed. Bytes past the model's slots stay in place. *)
+let write_line s ~n ~inv ~fwd o dst p =
+  for j = 0 to 7 do
+    Bytes.set dst (p + j) (Bytes.get s.src (o + if j < n then inv.(j) else j))
+  done;
+  for j = 0 to n - 1 do
+    let so = o + 8 + (8 * inv.(j)) and d = p + 8 + (8 * j) in
+    Bytes.blit s.src so dst d 8;
+    if renamable s.src so n then
+      Bytes.set_uint8 dst (d + 3)
+        (fwd.(Bytes.get_uint8 s.src (so + 3) - 1) + 1)
+  done
+
+(* Write the extracted state, renamed by [fwd] (old core -> new, with
+   [inv] its inverse), into [dst] at [p] in {!key}'s layout; returns the
+   end position. *)
+let write t ~inv ~fwd dst p =
+  let s = t.scratch and n = t.cfg.cores in
+  let p = ref p in
+  for blk = 0 to t.cfg.blks - 1 do
+    let h = 4 * blk and base = blk * (n + 1) in
+    let owner = s.hdr.(h + 1) and sharers = s.hdr.(h + 2) in
+    let m = ref (sharers land lnot ((1 lsl n) - 1)) in
+    for c = 0 to n - 1 do
+      if sharers land (1 lsl c) <> 0 then m := !m lor (1 lsl fwd.(c))
+    done;
+    Bytes.set_uint8 dst !p s.hdr.(h);
+    Bytes.set_uint8 dst (!p + 1)
+      (if owner >= 0 && owner < n then fwd.(owner) + 1 else owner + 1);
+    Bytes.set_uint8 dst (!p + 2) !m;
+    Bytes.set_uint8 dst (!p + 3) s.hdr.(h + 3);
+    p := !p + 4;
+    for c = 0 to n do
+      let i = base + if c < n then inv.(c) else n in
+      Bytes.set_uint8 dst !p s.tag.(i);
+      incr p;
+      if s.tag.(i) <> 0 then begin
+        write_line s ~n ~inv ~fwd (i * line_bytes n) dst !p;
+        p := !p + line_bytes n
+      end
+    done;
+    for c = 0 to n - 1 do
+      Bytes.set_uint8 dst !p (min 255 t.counts.(inv.(c)).(blk));
+      incr p
+    done
+  done;
+  for r = 0 to Array.length t.active - 1 do
+    Bytes.set_uint8 dst !p (min 255 t.active.(r));
+    incr p
+  done;
+  if is_self t then
+    for c = 0 to n - 1 do
+      Bytes.set_uint8 dst !p (fence_code t inv.(c));
+      incr p
+    done;
+  !p
+
+let key_under t perm =
+  let n = t.cfg.cores in
+  let inv = Array.make n (-1) in
+  if Array.length perm <> n then invalid_arg "World.key_under: wrong size";
+  Array.iteri
+    (fun c d ->
+      if d < 0 || d >= n || inv.(d) >= 0 then
+        invalid_arg "World.key_under: not a permutation";
+      inv.(d) <- c)
+    perm;
+  let dst = Bytes.create (extract t) in
+  ignore (write t ~inv ~fwd:perm dst 0 : int);
+  Bytes.unsafe_to_string dst
+
+let mix h x = (h * 1_000_003) lxor x
+
+(* Core [own]'s slot at [o] as its signature sees it: a renamable value by
+   its store index, block and whether it is [own]'s — none of which a
+   renaming changes — and any other value as it is. *)
+let slot_sig src o ~own n =
+  let u16 i = Bytes.get_uint16_le src (o + i) in
+  if renamable src o n then
+    (if Bytes.get_uint8 src (o + 3) = own + 1 then 1 else 2)
+    lor (u16 0 lsl 2)
+    lor (Bytes.get_uint8 src (o + 2) lsl 18)
+  else mix (mix (u16 0) (u16 2)) (mix (u16 4) (u16 6))
+
+(* A core's signature: what {!symmetries} cannot change about it — its
+   line states, own-slot dirty bytes and values, store counts, and fence
+   flags. Renaming moves the signature along with the core. *)
+let core_sig t c =
+  let s = t.scratch and n = t.cfg.cores in
+  let h = ref (if is_self t then fence_code t c else 0) in
+  for blk = 0 to t.cfg.blks - 1 do
+    let i = (blk * (n + 1)) + c in
+    h := mix (mix !h s.tag.(i)) t.counts.(c).(blk);
+    if s.tag.(i) <> 0 then begin
+      let o = i * line_bytes n in
+      h := mix !h (Bytes.get_uint8 s.src (o + c));
+      h := mix !h (slot_sig s.src (o + 8 + (8 * c)) ~own:c n)
+    end
+  done;
+  !h
+
+let rec write_all ws ~inv ~fwd dst p =
+  match ws with
+  | [] -> p
+  | t :: rest -> write_all rest ~inv ~fwd dst (write t ~inv ~fwd dst p)
+
+let rec compare_from a b i len =
+  if i = len then 0
+  else
+    let c = Char.compare (Bytes.get a i) (Bytes.get b i) in
+    if c <> 0 then c else compare_from a b (i + 1) len
+
+(* The least concatenated key over the renamings that sort each socket's
+   cores by signature. Which renamings those are depends only on the
+   renamed state, so every state of an orbit yields the same key; among
+   cores whose signatures tie, every order is tried. *)
+let canonical_key ws =
+  let t0 =
+    match ws with t :: _ -> t | [] -> invalid_arg "World.canonical_key"
+  in
+  let s = t0.scratch and n = t0.cfg.cores in
+  let socket = Config.socket_of_core t0.cfg.machine in
+  let len = List.fold_left (fun acc t -> acc + extract t) 0 ws in
+  for c = 0 to n - 1 do
+    s.sg.(c) <- List.fold_left (fun h t -> mix h (core_sig t c)) 0 ws
+  done;
+  let before a b =
+    socket a < socket b || (socket a = socket b && s.sg.(a) < s.sg.(b))
+  in
+  (* Stable insertion sort of the cores by (socket, signature). Sockets
+     are contiguous core ranges, so [ord.(j)] is a core of position [j]'s
+     own socket: new core [j] is old core [ord.(j)]. *)
+  for i = 0 to n - 1 do
+    let j = ref i in
+    while !j > 0 && before i s.ord.(!j - 1) do
+      s.ord.(!j) <- s.ord.(!j - 1);
+      decr j
+    done;
+    s.ord.(!j) <- i
+  done;
+  for i = n - 1 downto 0 do
+    s.run_end.(i) <-
+      (if i + 1 < n && not (before s.ord.(i) s.ord.(i + 1)) then
+         s.run_end.(i + 1)
+       else i + 1)
+  done;
+  if Bytes.length s.best < len then begin
+    s.best <- Bytes.create len;
+    s.cand <- Bytes.create len
+  end;
+  let first = ref true in
+  let swap i j =
+    let x = s.ord.(i) in
+    s.ord.(i) <- s.ord.(j);
+    s.ord.(j) <- x
+  in
+  let rec go i =
+    if i = n then begin
+      for j = 0 to n - 1 do
+        s.fwd.(s.ord.(j)) <- j
+      done;
+      let dst = if !first then s.best else s.cand in
+      ignore (write_all ws ~inv:s.ord ~fwd:s.fwd dst 0 : int);
+      if !first then first := false
+      else if compare_from s.cand s.best 0 len < 0 then begin
+        s.cand <- s.best;
+        s.best <- dst
+      end
+    end
+    else
+      for j = i to s.run_end.(i) - 1 do
+        swap i j;
+        go (i + 1);
+        swap i j
+      done
+  in
+  go 0;
+  Bytes.sub_string s.best 0 len
 
 (* ---- equivalence ---------------------------------------------------------- *)
 

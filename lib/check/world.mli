@@ -98,6 +98,31 @@ val key : t -> string
     store counts, live regions) for BFS memoization. Two states with equal
     keys are indistinguishable to any future operation sequence. *)
 
+val symmetries : t -> int array list
+(** The core renamings the model is symmetric under: every permutation
+    [perm] of the model's cores (core [c] becomes [perm.(c)]) that keeps
+    each core on its {!Warden_machine.Config.socket_of_core} socket —
+    all [cores!] on one socket, two on the mesh machine where core 2 sits
+    alone. Identity first. *)
+
+val key_under : t -> int array -> string
+(** [key_under t perm] is {!key} of the state [t] renamed by [perm]: each
+    core's private copies, store counts and fence flags, its slot in every
+    line (with that slot's byte group of each dirty mask), the directory
+    owner and sharers, and the core of each stored value ([encode c b k]
+    becomes [encode perm.(c) b k]) move with it; blocks and regions stay.
+    [key_under t identity = key t]. *)
+
+val canonical_key : t list -> string
+(** The least [key_under w perm] concatenated over the worlds [ws], over
+    the [perm] in {!symmetries}, all worlds renamed together (a lockstep
+    pair must be renamed jointly). Two states have equal canonical keys
+    exactly when one is a renaming of the other. Each state is read once;
+    only renamings that sort each socket's cores by a renaming-invariant
+    signature are tried, so the cost stays near {!key}'s. A root world
+    and its forks share the working storage of this and {!key_under}, so
+    call them on one domain at a time per family. *)
+
 val compare_states : t -> t -> string list
 (** Differences between two worlds that equivalent protocols must not
     show: per-block directory views, holder sets, private-copy states,

@@ -1,7 +1,8 @@
 (* Tests for the warden.check model checker: exhaustive exploration of the
    small model (MESI, WARDen, and the MESI/WARDen lockstep equivalence),
-   deterministic fuzzing, and mutation coverage — deliberately broken
-   protocols must be caught with short, shrunk counterexamples. *)
+   deterministic fuzzing, mutation coverage — deliberately broken
+   protocols must be caught with short, shrunk counterexamples — and the
+   core-symmetry reduction of the explorer's visited set. *)
 
 open Warden_machine
 open Warden_proto
@@ -35,28 +36,29 @@ let fail name outcome =
 
 (* The MESI small model (3 cores, 2 blocks, 2 regions, 1 store per core and
    block) is small enough to close: the exact counts double as a
-   determinism regression net. *)
+   determinism regression net. Every count here is of states up to core
+   renaming; the unreduced counts are pinned by the reference BFS below. *)
 let test_mesi_closure () =
   let states, transitions, complete =
     pass "mesi" (Check.explore (Check.mesi ()) ~depth:64)
   in
   Alcotest.(check bool) "state space exhausted" true complete;
-  Alcotest.(check int) "states" 43264 states;
-  Alcotest.(check int) "transitions" 458432 transitions
+  Alcotest.(check int) "states" 8109 states;
+  Alcotest.(check int) "transitions" 85818 transitions
 
 let test_warden_depth8 () =
   let states, transitions, _ =
     pass "warden" (Check.explore (Check.warden ()) ~depth:8)
   in
-  Alcotest.(check int) "states" 202032 states;
-  Alcotest.(check int) "transitions" 1103908 transitions
+  Alcotest.(check int) "states" 36870 states;
+  Alcotest.(check int) "transitions" 206575 transitions
 
 let test_equivalence_depth8 () =
   let states, transitions, _ =
     pass "mesi=warden" (Check.explore (Check.equivalence ()) ~depth:8)
   in
-  Alcotest.(check int) "states" 70916 states;
-  Alcotest.(check int) "transitions" 468824 transitions
+  Alcotest.(check int) "states" 13289 states;
+  Alcotest.(check int) "transitions" 89240 transitions
 
 (* The snooping-MSI small model also closes: no E state, so it is smaller
    than MESI's. *)
@@ -65,8 +67,8 @@ let test_msi_bus_closure () =
     pass "msi-bus" (Check.explore (Check.msi_bus ()) ~depth:64)
   in
   Alcotest.(check bool) "state space exhausted" true complete;
-  Alcotest.(check int) "states" 20164 states;
-  Alcotest.(check int) "transitions" 214988 transitions
+  Alcotest.(check int) "states" 3889 states;
+  Alcotest.(check int) "transitions" 41412 transitions
 
 (* SI/SD with the fence alphabet: the canonical key carries the per-core
    synced/fresh monitor bits. The two-core model closes; the three-core
@@ -77,7 +79,7 @@ let test_sisd_closure () =
     pass "sisd" (Check.explore (Check.sisd ~cores:2 ()) ~depth:64)
   in
   Alcotest.(check bool) "state space exhausted" true complete;
-  Alcotest.(check int) "states" 4263 states
+  Alcotest.(check int) "states" 2170 states
 
 (* Snooping MSI against directory MESI in data-only lockstep: every
    interleaving leaves identical residency, bytes, dirty masks and
@@ -86,7 +88,7 @@ let test_msi_lockstep_depth8 () =
   let states, _, _ =
     pass "msi-bus=mesi" (Check.explore (Check.msi_lockstep ()) ~depth:8)
   in
-  Alcotest.(check int) "states" 26283 states
+  Alcotest.(check int) "states" 4902 states
 
 (* --- region round trip ------------------------------------------------------ *)
 
@@ -393,6 +395,229 @@ let test_fuzz_catches_and_shrinks () =
   Alcotest.(check bool) "shrunk short" true (List.length a <= 10);
   Alcotest.(check bool) "deterministic shrink" true (a = b)
 
+(* --- core symmetry --------------------------------------------------------- *)
+
+(* The CLI's [--machine mesh]: two cores per socket, so core 2 sits alone. *)
+let mesh = Config.numa_mesh ~sockets:32 ~cores_per_socket:2 ()
+
+let worlds = function Check.One w -> [ w ] | Check.Two (a, b) -> [ a; b ]
+
+let primary cfg = List.hd (worlds (Check.make cfg))
+
+(* The explorer without the reduction: a breadth-first search over raw
+   {!World.key}s that counts states and transitions the way {!Check.explore}
+   does, plus the number of orbits among those states — told apart by the
+   least raw key over the whole group, which does not rely on
+   {!World.canonical_key}'s signature pruning. The orbit count must be
+   exactly the reduced count. *)
+let reference_bfs cfg ~depth =
+  let visited = Hashtbl.create 65536 and orbits = Hashtbl.create 16384 in
+  let q = Queue.create () and transitions = ref 0 in
+  let root = primary cfg in
+  let group = World.symmetries root in
+  let visit w k =
+    Hashtbl.replace visited k ();
+    let least = List.fold_left (fun m p -> min m (World.key_under w p)) k in
+    Hashtbl.replace orbits (least group) ()
+  in
+  visit root (World.key root);
+  Queue.push (root, 0) q;
+  while not (Queue.is_empty q) do
+    let w, d = Queue.pop q in
+    if d < depth then
+      List.iter
+        (fun op ->
+          incr transitions;
+          let child = World.copy w in
+          ignore (World.apply child op);
+          let k = World.key child in
+          if not (Hashtbl.mem visited k) then begin
+            visit child k;
+            if d + 1 < depth then Queue.push (child, d + 1) q
+          end)
+        (World.enabled w)
+  done;
+  (Hashtbl.length visited, !transitions, Hashtbl.length orbits)
+
+let test_reference_warden () =
+  let states, transitions, orbits = reference_bfs (Check.warden ()) ~depth:8 in
+  Alcotest.(check int) "unreduced states" 202032 states;
+  Alcotest.(check int) "unreduced transitions" 1103908 transitions;
+  Alcotest.(check int) "orbits = reduced states" 36870 orbits
+
+let test_reference_mesi () =
+  let states, transitions, orbits = reference_bfs (Check.mesi ()) ~depth:64 in
+  Alcotest.(check int) "unreduced states" 43264 states;
+  Alcotest.(check int) "unreduced transitions" 458432 transitions;
+  Alcotest.(check int) "orbits = reduced states" 8109 orbits
+
+let test_group_orders () =
+  let order name cfg expect =
+    Alcotest.(check int) name expect (Check.symmetry cfg)
+  in
+  order "dual socket, 3 cores" (Check.warden ()) 6;
+  order "mesh, core 2 on its own socket" (Check.warden ~machine:mesh ()) 2;
+  order "dual socket, 4 cores" (Check.mesi ~cores:4 ()) 24;
+  order "lockstep" (Check.equivalence ()) 6;
+  let w = primary (Check.warden ()) in
+  Alcotest.(check string) "identity renaming is the raw key" (World.key w)
+    (World.key_under w (List.hd (World.symmetries w)))
+
+(* A lockstep pair is renamed as one: renaming both sides by the same
+   element keeps the key, but renaming one side alone gives a different
+   pair, which must not be merged with the first. *)
+let test_lockstep_key_is_joint () =
+  let cfg = Check.equivalence () in
+  let pair ops_a ops_b =
+    match Check.make cfg with
+    | Check.Two (a, b) as sys ->
+        List.iter (fun op -> ignore (World.apply a op)) ops_a;
+        List.iter (fun op -> ignore (World.apply b op)) ops_b;
+        Check.key sys
+    | Check.One _ -> Alcotest.fail "equivalence is a lockstep pair"
+  in
+  let store c = [ Op.Store { core = c; blk = 0 } ] in
+  Alcotest.(check string) "same renaming on both sides"
+    (pair (store 0) (store 0))
+    (pair (store 1) (store 1));
+  Alcotest.(check bool) "one side renamed alone" true
+    (pair (store 0) (store 0) <> pair (store 0) (store 1))
+
+let rename_op p = function
+  | Op.Load { core; blk } -> Op.Load { core = p.(core); blk }
+  | Op.Store { core; blk } -> Op.Store { core = p.(core); blk }
+  | Op.Evict { core; blk } -> Op.Evict { core = p.(core); blk }
+  | Op.Acquire c -> Op.Acquire p.(c)
+  | Op.Release c -> Op.Release p.(c)
+  | (Op.Region_add _ | Op.Region_remove _) as op -> op
+
+(* A load or store by [core] returns the core's own slot, [encode core blk
+   k] (or the initial zero); renamed, that is [encode p.(core) blk k].
+   [encode] is affine in [k]. *)
+let rename_value p ~core ~blk v =
+  if Int64.equal v 0L then v
+  else
+    Int64.add v
+      (Int64.sub
+         (World.encode ~core:p.(core) ~blk 1)
+         (World.encode ~core ~blk 1))
+
+let op_site = function
+  | Op.Load { core; blk } | Op.Store { core; blk } -> Some (core, blk)
+  | _ -> None
+
+let perm_string p =
+  String.concat "" (Array.to_list (Array.map string_of_int p))
+
+(* One op on every world of a system: the per-world results and whether
+   the audit is clean, or the exception the op raised. *)
+let run_op cfg sys op =
+  match List.map (fun w -> World.apply w op) (worlds sys) with
+  | rs -> Ok (rs, Check.audit cfg sys = [])
+  | exception e -> Error (Printexc.to_string e)
+
+(* A seeded random walk, replayed renamed by every group element from a
+   fresh system, step by step: the renamed run must accept the same ops,
+   return the renamed values, audit clean exactly when the original does,
+   match its latencies where the config compares them, and reach the state
+   [key_under] predicts. Returns the first divergence. *)
+let symmetry_divergence (cfg : Check.cfg) ~steps ~seed =
+  let cfg = { cfg with Check.store_cap = 0 } in
+  let orig = Check.make cfg in
+  let lead = List.hd (worlds orig) in
+  let runs =
+    List.map (fun p -> (p, Check.make cfg)) (World.symmetries lead)
+  in
+  let latencies = cfg.Check.lockstep <> None && not cfg.Check.data_only in
+  let rng = Warden_util.Splitmix.make seed in
+  let rec walk i =
+    match World.enabled lead with
+    | [] -> None
+    | _ when i > steps -> None
+    | en -> (
+        let op = List.nth en (Warden_util.Splitmix.int rng (List.length en)) in
+        let expect = run_op cfg orig op in
+        let diverges (p, sys) =
+          let op' = rename_op p op in
+          let why =
+            match (expect, run_op cfg sys op') with
+            | Error _, Error _ -> None
+            | Error e, Ok _ -> Some ("only the original raised " ^ e)
+            | Ok _, Error e -> Some ("only the renamed run raised " ^ e)
+            | Ok (ra, ca), Ok (rb, cb) ->
+                let value (r : World.result) =
+                  match (op_site op, r.World.value) with
+                  | Some (core, blk), Some v ->
+                      Some (rename_value p ~core ~blk v)
+                  | _, v -> v
+                in
+                let same (a : World.result) (b : World.result) =
+                  a.World.accepted = b.World.accepted
+                  && value a = b.World.value
+                  && ((not latencies) || a.World.latency = b.World.latency)
+                in
+                let key_of f ws = String.concat "|" (List.map f ws) in
+                if not (List.for_all2 same ra rb) then Some "results differ"
+                else if ca <> cb then Some "audits differ"
+                else if
+                  key_of World.key (worlds sys)
+                  <> key_of (fun w -> World.key_under w p) (worlds orig)
+                then Some "renamed state is not key_under"
+                else None
+          in
+          Option.map
+            (Printf.sprintf "step %d, %s renamed by %s: %s" i (Op.to_string op)
+               (perm_string p))
+            why
+        in
+        match (List.find_map diverges runs, expect) with
+        | (Some _ as d), _ -> d
+        | None, Error _ -> None
+        | None, Ok _ -> walk (i + 1))
+  in
+  walk 1
+
+let test_symmetry_commutes () =
+  List.iter
+    (fun (cfg : Check.cfg) ->
+      match symmetry_divergence cfg ~steps:300 ~seed:0x5EEDL with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s: not symmetric: %s" cfg.Check.name d)
+    [
+      Check.mesi ();
+      Check.warden ();
+      Check.msi_bus ();
+      Check.sisd ();
+      Check.equivalence ();
+      Check.msi_lockstep ();
+      Check.warden ~machine:mesh ();
+    ]
+
+(* MESI that never invalidates core 2's copies: correct for cores 0 and 1,
+   so only a renaming that moves core 2 exposes it. *)
+module No_inval_core2 = Mutant_mesi (struct
+  let name = "mesi-no-inval-core2"
+
+  let wrap f =
+    {
+      f with
+      Fabric.invalidate_priv =
+        (fun ~core ~blk ->
+          if core = 2 then f.Fabric.peek_priv ~core ~blk
+          else f.Fabric.invalidate_priv ~core ~blk);
+    }
+end)
+
+let test_symmetry_guard_bites () =
+  let cfg =
+    Check.of_protocol ~name:"mesi-no-inval-core2"
+      ~mk:(fun f ->
+        Protocol.Packed ((module No_inval_core2), No_inval_core2.create f))
+      ()
+  in
+  Alcotest.(check bool) "asymmetric mutant flagged" true
+    (symmetry_divergence cfg ~steps:300 ~seed:0x5EEDL <> None)
+
 let suite =
   [
     Alcotest.test_case "mesi: full state space" `Slow test_mesi_closure;
@@ -424,6 +649,17 @@ let suite =
       test_mutation_sisd_no_self_inv;
     Alcotest.test_case "fuzz catches and shrinks" `Quick
       test_fuzz_catches_and_shrinks;
+    Alcotest.test_case "unreduced reference: warden to depth 8" `Slow
+      test_reference_warden;
+    Alcotest.test_case "unreduced reference: mesi closure" `Slow
+      test_reference_mesi;
+    Alcotest.test_case "symmetry group orders" `Quick test_group_orders;
+    Alcotest.test_case "lockstep pairs are renamed jointly" `Quick
+      test_lockstep_key_is_joint;
+    Alcotest.test_case "renamings commute with every configuration" `Quick
+      test_symmetry_commutes;
+    Alcotest.test_case "symmetry guard flags an asymmetric mutant" `Quick
+      test_symmetry_guard_bites;
   ]
 
 let () = Alcotest.run "warden-check" [ ("check", suite) ]
