@@ -10,7 +10,7 @@ MACHINE_FILE := .machine
 MACHINE := $(shell cat $(MACHINE_FILE) 2>/dev/null || echo dual)
 
 .PHONY: all build test check fmt bench bench-quick bench-json bench-compare \
-        bench-overhead bench-scaling bench-scale bench-serve bench-replay \
+        bench-overhead bench-scale bench-serve bench-replay \
         bench-zoo snap-check serve profile \
         all_pbbs single_pbbs activate_one_socket activate_two_socket \
         examples clean
@@ -51,22 +51,15 @@ bench-quick:
 
 # Machine-readable simulator-performance snapshot into BENCH_sim.json
 # (host ms/run per kernel plus simulated MIPS); every run also appends a
-# one-line record to BENCH_history.jsonl.
+# one-line record to BENCH_history.jsonl. Runs at --jobs 1, like the
+# committed BENCH_baseline.json, so bench-compare gates like for like.
 bench-json:
-	dune exec bench/main.exe -- json
+	dune exec bench/main.exe -- json --jobs 1
 
 # Regression gate: fail if BENCH_sim.json's sim_mips fell more than 10%
 # below the committed BENCH_baseline.json. Run bench-json first.
 bench-compare:
 	dune exec bench/main.exe -- compare
-
-# Sharded-speedup gate: run the quick suite at sim_domains 1 and 4 and
-# fail unless D=4 delivers at least 1.7x the D=1 simulated MIPS with no
-# per-kernel regression at D=1. Self-skips (exit 0, with a notice) on
-# hosts with fewer than 4 cores, where the gate cannot measure real
-# parallelism; CI enforces it on >= 4-core runners.
-bench-scaling:
-	dune exec bench/main.exe -- scaling
 
 # Many-socket scale study (README "Scaling to 512 cores"): quick kernels
 # on 64- to 512-core numa_mesh machines under both protocols. Writes the
@@ -94,20 +87,20 @@ bench-replay:
 	dune exec bench/main.exe -- replay
 
 # Snapshot bit-identity end to end: snapshot fib's end state, restore it
-# into a 1-domain and a 2-domain engine, run one more benchmark round in
-# each, and require the resulting snapshots to be byte-identical —
-# restore-then-run matches the cold continuation and snapshots are
-# D-portable (execution strategy is not simulated state).
+# in two fresh processes, run one more benchmark round in each, and
+# require the resulting snapshots to be byte-identical — a restore
+# carries everything the continuation depends on, and nothing host-side
+# leaks into the simulated state.
 snap-check: build
 	dune exec bin/warden_cli.exe -- bench fib -m single -p warden \
 	  --snapshot-out .snap_base.wsnap
-	WARDEN_SIM_DOMAINS=1 dune exec bin/warden_cli.exe -- bench fib -m single \
-	  -p warden --snapshot-in .snap_base.wsnap --snapshot-out .snap_d1.wsnap
-	WARDEN_SIM_DOMAINS=2 dune exec bin/warden_cli.exe -- bench fib -m single \
-	  -p warden --snapshot-in .snap_base.wsnap --snapshot-out .snap_d2.wsnap
-	cmp .snap_d1.wsnap .snap_d2.wsnap
-	@echo "snap-check: restored D=1 and D=2 continuations are bit-identical"
-	@rm -f .snap_base.wsnap .snap_d1.wsnap .snap_d2.wsnap
+	dune exec bin/warden_cli.exe -- bench fib -m single -p warden \
+	  --snapshot-in .snap_base.wsnap --snapshot-out .snap_a.wsnap
+	dune exec bin/warden_cli.exe -- bench fib -m single -p warden \
+	  --snapshot-in .snap_base.wsnap --snapshot-out .snap_b.wsnap
+	cmp .snap_a.wsnap .snap_b.wsnap
+	@echo "snap-check: two restored continuations are bit-identical"
+	@rm -f .snap_base.wsnap .snap_a.wsnap .snap_b.wsnap
 
 # Protocol-zoo gate (README "Protocol zoo"): the fig7/8 kernels under
 # all four protocols at quick scales into BENCH_zoo.json, failing unless

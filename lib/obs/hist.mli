@@ -4,9 +4,8 @@
     [[0, 2)]); values beyond the last bucket saturate into it. Updates
     are flat-array increments, so recording a value is allocation-free
     and cheap enough for the per-access hot path. Counts and sums are
-    integers: merging or reading at any moment yields the same totals,
-    which is what lets the sharded engine fold at commit-quantum
-    barriers without perturbing anything observable. *)
+    integers, so merging or reading at any moment yields the same
+    totals. *)
 
 type t
 

@@ -219,8 +219,6 @@ module P = struct
       }
     else Protocol.invalid_view
 
-  let prefetch _ ~blk:_ = 0
-
   let dump t =
     let b = Buffer.create 256 in
     Buffer.add_string b "protocol msi-bus\n";

@@ -14,11 +14,10 @@
 
     Everything recorded is a function of simulated time and the
     deterministic engine, so results — including the latency histogram
-    — are bit-identical for every [sim_domains] value and speculation
-    mode. Verification is schedule-{e independent}: writes store an
-    idempotent per-key value, so the final table image must equal a
-    host recomputation from the write-key set alone, whichever order
-    the scheduler picked. *)
+    — are bit-identical run to run and across [--jobs]. Verification is
+    schedule-{e independent}: writes store an idempotent per-key value,
+    so the final table image must equal a host recomputation from the
+    write-key set alone, whichever order the scheduler picked. *)
 
 type params = {
   requests : int;
@@ -94,7 +93,7 @@ val summary : result -> string
 
 val json_summary : params -> result -> string
 (** One JSON object of simulated quantities only (no host wall-clock),
-    so byte-identical output across [sim_domains] is the CI gate. *)
+    so byte-identical output across runs is the CI gate. *)
 
 val curve :
   ?params:params ->

@@ -12,11 +12,10 @@
     continuations cannot serialize; that boundary is also the only time
     the simulated state is entirely flat structures.
 
-    Host-parallelism and observability knobs ([sim_domains], [sim_spec],
-    [sim_spec_torture], [sched_quantum], [sim_quantum], [obs_level]) are
-    excluded from the fingerprint: the engine's determinism invariant
-    makes results bit-identical across them, so one snapshot serves any
-    of those settings. Restore targets a {e freshly created} engine of
+    Host-side knobs ([sched_quantum], [obs_level]) are excluded from the
+    fingerprint: the engine's determinism invariant makes results
+    bit-identical across them, so one snapshot serves any of those
+    settings. Restore targets a {e freshly created} engine of
     matching geometry and protocol (directory and page tables have no
     deletion, so restoring into a used engine is unsupported). *)
 

@@ -4,8 +4,9 @@
    bit-identical to the fully scheduled legacy execution (sched_quantum =
    0): same simulated cycles, same event and protocol statistics, same
    final memory image. These tests hold it to that claim, on both
-   protocols, across fixed fork-tree shapes, random programs, and real
-   benchmarks — and additionally pin down that the simulator is
+   protocols, across fixed fork-tree shapes, random programs, a
+   conflict-heavy pingpong kernel and real benchmarks — and additionally
+   pin down that the simulator is
    deterministic (same seed, same everything). *)
 
 open Warden_machine
@@ -75,6 +76,7 @@ type snapshot = {
   energy : float * float * float;
   out : int64 array;
   scratch : int64 array;
+  dump : string; (* final directory state *)
 }
 
 let run_tree ~quantum proto prog =
@@ -97,11 +99,50 @@ let run_tree ~quantum proto prog =
     energy = (Energy.network_pj en, Energy.processor_pj en, Energy.total_pj en);
     out = Array.init out_len (fun i -> Sarray.peek_host ms out i);
     scratch = Array.init (ntasks * out_len) (fun i -> Sarray.peek_host ms scratch i);
+    dump = Warden_proto.Protocol.dump (Memsys.protocol ms);
+  }
+
+(* Conflict-heavy pingpong: every thread hammers one shared counter (each
+   RMW invalidates the previous owner's copy, so inline hits constantly
+   interleave with real coherence transitions) between private-stride
+   hits. [out] is the counter, [scratch] the private lanes. *)
+let run_pingpong ~quantum proto =
+  let eng = Engine.create (cfg_q quantum) ~proto in
+  let ms = Engine.memsys eng in
+  let ctr = Memsys.alloc ms ~bytes:8 ~align:64 in
+  let nthreads = min 8 (Config.num_threads (cfg_q quantum)) in
+  let lanes = Memsys.alloc ms ~bytes:(nthreads * 64) ~align:64 in
+  let body t () =
+    let open Engine.Ops in
+    let mine = lanes + (t * 64) in
+    for i = 0 to 149 do
+      ignore (fetch_add ctr ~size:8 1L);
+      store mine ~size:8 (Int64.of_int (i + t));
+      ignore (load mine ~size:8);
+      tick 1
+    done
+  in
+  let makespan = Engine.run eng (Array.init nthreads body) in
+  Memsys.flush_all ms;
+  let en = Memsys.energy ms in
+  let out = [| Memsys.peek ms ctr ~size:8 |] in
+  Alcotest.(check int64) "pingpong: counter totals all increments"
+    (Int64.of_int (150 * nthreads)) out.(0);
+  {
+    makespan;
+    sstats = Memsys.sstats ms;
+    pstats = Memsys.pstats ms;
+    energy = (Energy.network_pj en, Energy.processor_pj en, Energy.total_pj en);
+    out;
+    scratch =
+      Array.init nthreads (fun t -> Memsys.peek ms (lanes + (t * 64)) ~size:8);
+    dump = Warden_proto.Protocol.dump (Memsys.protocol ms);
   }
 
 let snap_equal a b =
   a.makespan = b.makespan && a.sstats = b.sstats && a.pstats = b.pstats
   && a.energy = b.energy && a.out = b.out && a.scratch = b.scratch
+  && a.dump = b.dump
 
 let check_snap_equal label a b =
   (* Headline fields first for a readable failure, then the whole thing. *)
@@ -126,37 +167,43 @@ let fixed_shapes =
   [ ("single leaf", Leaf 4); ("left spine", left 6); ("right spine", right 6);
     ("balanced depth 4", bal 4) ]
 
+(* Every fixed input as a runner: the fork-tree shapes plus pingpong. *)
+let fixed_runs =
+  List.map
+    (fun (name, prog) ->
+      (name, fun ~quantum proto -> run_tree ~quantum proto prog))
+    fixed_shapes
+  @ [ ("pingpong conflicts", run_pingpong) ]
+
 (* 1. Determinism: the same run twice gives the same everything. *)
 let determinism_tests =
   List.map
-    (fun (name, prog) ->
+    (fun (name, run) ->
       Alcotest.test_case ("repeat run: " ^ name) `Quick (fun () ->
           List.iter
             (fun (proto, pname) ->
               check_snap_equal
                 (Printf.sprintf "%s/%s" name pname)
-                (run_tree ~quantum:4096 proto prog)
-                (run_tree ~quantum:4096 proto prog))
+                (run ~quantum:4096 proto) (run ~quantum:4096 proto))
             protos))
-    fixed_shapes
+    fixed_runs
 
 (* 2. Differential: fast path (various quanta) vs legacy (quantum 0). *)
-let differential_tree_tests =
+let differential_tests =
   List.map
-    (fun (name, prog) ->
+    (fun (name, run) ->
       Alcotest.test_case ("fast path = legacy: " ^ name) `Quick (fun () ->
           List.iter
             (fun (proto, pname) ->
-              let legacy = run_tree ~quantum:0 proto prog in
+              let legacy = run ~quantum:0 proto in
               List.iter
                 (fun q ->
                   check_snap_equal
                     (Printf.sprintf "%s/%s q=%d" name pname q)
-                    legacy
-                    (run_tree ~quantum:q proto prog))
+                    legacy (run ~quantum:q proto))
                 [ 1; 64; 4096 ])
             protos))
-    fixed_shapes
+    fixed_runs
 
 let prop_differential prog =
   List.for_all
@@ -203,7 +250,7 @@ let bench_differential name =
         protos)
 
 let suite =
-  determinism_tests @ differential_tree_tests
+  determinism_tests @ differential_tests
   @ [ qtest ]
   @ List.map bench_differential [ "fib"; "palindrome"; "msort" ]
 

@@ -168,34 +168,6 @@ let pqueue_sorted =
       in
       drain [] = List.sort compare prios)
 
-(* The sharded engine's invariant: several queues fed under one global
-   sequence counter, popped by minimum (priority, sequence), replay a
-   single [add]-driven queue's order exactly. *)
-let test_pqueue_seq_merge () =
-  let single = Pqueue.create () in
-  let qa = Pqueue.create () and qb = Pqueue.create () in
-  let n = 500 in
-  for i = 0 to n - 1 do
-    let prio = i * 7919 mod 32 in
-    Pqueue.add single ~prio i;
-    let q = if i * 104729 mod 3 < 2 then qa else qb in
-    Pqueue.add_seq q ~prio ~seq:i i
-  done;
-  for _ = 1 to n do
-    let expect = Pqueue.pop_exn single in
-    let pa = Pqueue.min_prio_or qa ~default:max_int
-    and sa = Pqueue.min_seq_or qa ~default:max_int
-    and pb = Pqueue.min_prio_or qb ~default:max_int
-    and sb = Pqueue.min_seq_or qb ~default:max_int in
-    let got =
-      if pa < pb || (pa = pb && sa < sb) then Pqueue.pop_exn qa
-      else Pqueue.pop_exn qb
-    in
-    Alcotest.(check int) "merge replays single-queue order" expect got
-  done;
-  Alcotest.(check bool) "both drained" true
-    (Pqueue.is_empty qa && Pqueue.is_empty qb)
-
 (* --- Itab ----------------------------------------------------------------- *)
 
 (* Differential test against a Hashtbl model: a random script of
@@ -326,7 +298,6 @@ let suite =
     Alcotest.test_case "pqueue fifo ties" `Quick test_pqueue_fifo_ties;
     Alcotest.test_case "pqueue clear and reuse" `Quick test_pqueue_clear_reuse;
     pqueue_sorted;
-    Alcotest.test_case "pqueue seq merge" `Quick test_pqueue_seq_merge;
     itab_model;
     Alcotest.test_case "bitset basic" `Quick test_bitset_basic;
     bitset_model;
