@@ -247,5 +247,99 @@ let test_golden () =
       else assert_snap label golden s)
     kernels
 
-let suite = [ Alcotest.test_case "end-to-end stats snapshot" `Quick test_golden ]
+(* ---- energy pins ------------------------------------------------------- *)
+
+(* Exact network / processor / total picojoules. Every default cost is a
+   whole number, so these sums are exact integers and must not drift by a
+   single pJ when the accounting is restructured. Besides the four golden
+   runs: fib on the snooping bus and under self-invalidation, and a
+   two-phase run on different core counts with a snapshot/restore in
+   between (the core bucket charges each phase at its own core count). *)
+
+let energy_of ms =
+  let en = Memsys.energy ms in
+  (Energy.network_pj en, Energy.processor_pj en, Energy.total_pj en)
+
+let kernel_energy bench scale proto () =
+  let spec = Option.get (Warden_pbbs.Suite.find bench) in
+  let eng = Engine.create (Config.dual_socket ()) ~proto in
+  let verified = spec.Warden_pbbs.Spec.run ~scale ~seed:0x5EEDF00DL eng in
+  Alcotest.(check bool) (bench ^ ": result verified") true verified;
+  energy_of (Engine.memsys eng)
+
+(* A sharing-heavy load/store/rmw walk over 64 blocks on [threads]
+   threads. *)
+let phase eng ~threads ~round =
+  let module Ops = Engine.Ops in
+  let base = Memsys.alloc (Engine.memsys eng) ~bytes:(64 * 64) ~align:64 in
+  let body t () =
+    for i = 0 to 199 do
+      let blk = ((i * 7) + (t * 13) + round) mod 64 in
+      let a = base + (64 * blk) in
+      if i mod 5 = t mod 5 then Ops.store a ~size:8 (Int64.of_int (i + round))
+      else if i mod 16 = 0 then
+        ignore (Ops.rmw a ~size:8 (Int64.add 1L) : int64)
+      else ignore (Ops.load a ~size:8 : int64);
+      Ops.tick 1
+    done
+  in
+  ignore (Engine.run eng (Array.init threads body) : int)
+
+let two_phase_energy () =
+  let module Snap = Warden_snap.Snap in
+  let cfg = Config.dual_socket () in
+  let cold = Engine.create cfg ~proto:`Warden in
+  phase cold ~threads:2 ~round:0;
+  let mid = Snap.to_bytes cold in
+  phase cold ~threads:6 ~round:1;
+  let warm = Engine.create cfg ~proto:`Warden in
+  Snap.restore warm mid;
+  phase warm ~threads:6 ~round:1;
+  let e = energy_of (Engine.memsys cold) in
+  Alcotest.(check bool) "two-phase: restored energy = cold energy" true
+    (e = energy_of (Engine.memsys warm));
+  e
+
+(* Captured before energy became a function of the event counters. *)
+let golden_energy =
+  [
+    ("msort/mesi", (31270800.0, 3113927970.0, 3145198770.0));
+    ("msort/warden", (30122100.0, 2928126006.0, 2958248106.0));
+    ("fib/mesi", (4007400.0, 183558915.0, 187566315.0));
+    ("fib/warden", (4007100.0, 183560723.0, 187567823.0));
+    ("fib/msi-bus", (681540.0, 80509695.0, 81191235.0));
+    ("fib/sisd", (8346000.0, 309640185.0, 317986185.0));
+    ("two-phase/warden", (22516500.0, 285348076.0, 307864576.0));
+  ]
+
+let energy_runs =
+  [
+    ("msort/mesi", kernel_energy "msort" 1_000 `Mesi);
+    ("msort/warden", kernel_energy "msort" 1_000 `Warden);
+    ("fib/mesi", kernel_energy "fib" 12 `Mesi);
+    ("fib/warden", kernel_energy "fib" 12 `Warden);
+    ("fib/msi-bus", kernel_energy "fib" 12 `Msi_bus);
+    ("fib/sisd", kernel_energy "fib" 12 `Sisd);
+    ("two-phase/warden", two_phase_energy);
+  ]
+
+let test_energy () =
+  List.iter
+    (fun (label, run) ->
+      let net, proc, total = run () in
+      if Sys.getenv_opt "GOLDEN_DUMP" <> None then
+        Printf.printf "    (%S, (%.1f, %.1f, %.1f));\n%!" label net proc total
+      else begin
+        let gnet, gproc, gtotal = List.assoc label golden_energy in
+        Alcotest.(check (float 0.)) (label ^ ": network_pj") gnet net;
+        Alcotest.(check (float 0.)) (label ^ ": processor_pj") gproc proc;
+        Alcotest.(check (float 0.)) (label ^ ": total_pj") gtotal total
+      end)
+    energy_runs
+
+let suite =
+  [
+    Alcotest.test_case "end-to-end stats snapshot" `Quick test_golden;
+    Alcotest.test_case "energy priced exactly" `Quick test_energy;
+  ]
 let () = Alcotest.run "warden-golden" [ ("golden", suite) ]
