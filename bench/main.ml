@@ -65,6 +65,16 @@ let snap_cache_dir = Cliscan.string_flag cli [ "--snap-cache" ]
 let snapshot_args =
   List.filter (fun a -> not (List.mem a mode_words)) (Cliscan.positionals cli)
 
+(* Anywhere else such a word is a typo, and ignoring it would start the
+   many-minute paper-scale run. *)
+let () =
+  if (not compare_mode) && snapshot_args <> [] then begin
+    Printf.eprintf "bench: unknown mode %s\nusage: main.exe [%s] [flags]\n"
+      (String.concat " " snapshot_args)
+      (String.concat "|" mode_words);
+    exit 2
+  end
+
 (* [--obs LEVEL] (or WARDEN_OBS) turns event recording on for every
    simulation in the run; the CI overhead gate benches off vs counters. *)
 let obs_level =

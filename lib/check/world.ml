@@ -93,11 +93,11 @@ let slot_off core = (core land 7) * 8
 let probe_of line =
   { Fabric.levels = 2; state = line.pstate; data = line.data }
 
-(* [energy], [stats] and [obs] are write-only sinks: no protocol reads
+(* [stats] and [obs] are write-only sinks: no protocol reads
    them back to decide a transition and the checker never inspects them.
    A root world builds them once and every fork reuses its parent's, so a
    fork costs only its caches, LLC lines and protocol state. *)
-let mk_fabric ~machine ~energy ~stats ~obs
+let mk_fabric ~machine ~stats ~obs
     ~(priv : (int, line) Hashtbl.t array) ~(llc : (int, Linedata.t) Hashtbl.t)
     =
   (* Snooping protocols broadcast over every core of the [machine], which
@@ -117,7 +117,6 @@ let mk_fabric ~machine ~energy ~stats ~obs
   in
   {
     Fabric.config = machine;
-    energy;
     stats;
     obs;
     peek_priv = (fun ~core ~blk -> Option.map probe_of (find_priv ~core ~blk));
@@ -159,9 +158,9 @@ let create cfg =
     invalid_arg "World.create: blks must be in 1..256";
   let priv = Array.init cfg.cores (fun _ -> Hashtbl.create 16) in
   let llc = Hashtbl.create 64 in
-  let energy = Energy.create () and stats = Pstats.create () in
+  let stats = Pstats.create () in
   let obs = Warden_obs.Obs.create cfg.machine in
-  let fabric = mk_fabric ~machine:cfg.machine ~energy ~stats ~obs ~priv ~llc in
+  let fabric = mk_fabric ~machine:cfg.machine ~stats ~obs ~priv ~llc in
   let proto = cfg.mk fabric in
   let alphabet =
     let base = Op.all ~cores:cfg.cores ~blks:cfg.blks ~regions:cfg.regions in
@@ -210,10 +209,8 @@ let copy t =
   in
   let llc = Hashtbl.create 16 in
   Hashtbl.iter (fun blk l -> Hashtbl.add llc blk (Linedata.copy l)) t.llc;
-  let { Fabric.energy; stats; obs; _ } = t.fabric in
-  let fabric =
-    mk_fabric ~machine:t.cfg.machine ~energy ~stats ~obs ~priv ~llc
-  in
+  let { Fabric.stats; obs; _ } = t.fabric in
+  let fabric = mk_fabric ~machine:t.cfg.machine ~stats ~obs ~priv ~llc in
   {
     cfg = t.cfg;
     proto = Protocol.copy t.proto ~fabric;

@@ -73,7 +73,7 @@ val copy : t -> t
     {!Warden_proto.Protocol.copy}, rebound to the fork's fabric). The
     explorer forks a world per successor instead of replaying operation
     prefixes. The fork's fabric shares its parent's write-only accounting
-    sinks ([energy], [stats], [obs], all built once by {!create}) and op
+    sinks ([stats] and [obs], both built once by {!create}) and op
     alphabet; everything a transition reads is independent. *)
 
 val encode : core:int -> blk:int -> int -> int64

@@ -82,7 +82,8 @@ module P = struct
     g
 
   let handle_request t ~core ~blk ~write ~holds_s =
-    Energy.cam_lookup t.fabric.Fabric.energy;
+    let stats = t.fabric.Fabric.stats in
+    stats.Pstats.cam_lookups <- stats.Pstats.cam_lookups + 1;
     if Regions.block_in t.regions blk then
       ward_request t ~core ~blk ~write ~holds_s
     else

@@ -25,54 +25,32 @@ let default_costs =
     bus_cycle_pj = 120.0;
   }
 
-(* Accumulators live in a float array: OCaml stores float arrays flat, so
-   a deposit updates in place instead of boxing a fresh float per event
-   (mixed records box their float fields on every assignment, and deposits
-   happen on every simulated memory access). *)
-let core_i = 0
-let cache_i = 1
-let dram_i = 2
-let network_i = 3
+type t = { core_pj : float; cache_pj : float; dram_pj : float; network_pj : float }
 
-type t = { c : costs; acc : float array }
+(* Every cost is a whole number of pJ, so each product and sum below is an
+   exact integer in a float (below 2^53): the ledger does not depend on
+   the order events happened in. *)
+let of_counts ~core_cycles ~l1 ~l2 ~l3 ~dir ~cam ~dram ~msgs_ctl_intra
+    ~msgs_ctl_inter ~msgs_data_intra ~msgs_data_inter ~bus_cycles =
+  let c = default_costs in
+  let ( *$ ) n pj = float_of_int n *. pj in
+  {
+    core_pj = core_cycles *$ c.core_cycle_pj;
+    cache_pj =
+      (l1 *$ c.l1_pj) +. (l2 *$ c.l2_pj) +. (l3 *$ c.l3_pj) +. (dir *$ c.dir_pj)
+      +. (cam *$ c.cam_pj);
+    dram_pj = dram *$ c.dram_pj;
+    network_pj =
+      (msgs_ctl_intra *$ c.msg_intra_pj)
+      +. (msgs_ctl_inter *$ c.msg_inter_pj)
+      +. ((5 * msgs_data_intra) *$ c.msg_intra_pj)
+      +. ((5 * msgs_data_inter) *$ c.msg_inter_pj)
+      +. (bus_cycles *$ c.bus_cycle_pj);
+  }
 
-let create ?(costs = default_costs) () = { c = costs; acc = Array.make 4 0. }
-let costs t = t.c
-let deposit t i x = Array.unsafe_set t.acc i (Array.unsafe_get t.acc i +. x)
-
-let core_cycles t ~cores ~cycles =
-  deposit t core_i (float_of_int cores *. float_of_int cycles *. t.c.core_cycle_pj)
-
-let l1_access t = deposit t cache_i t.c.l1_pj
-let l2_access t = deposit t cache_i t.c.l2_pj
-
-let l3_access t = deposit t cache_i t.c.l3_pj
-let dir_access t = deposit t cache_i t.c.dir_pj
-let dram_access t = deposit t dram_i t.c.dram_pj
-
-let message t ~inter_socket ~data =
-  let base = if inter_socket then t.c.msg_inter_pj else t.c.msg_intra_pj in
-  deposit t network_i (if data then 5. *. base else base)
-
-let cam_lookup t = deposit t cache_i t.c.cam_pj
-
-(* A shared snooping bus is interconnect: occupancy cycles (arbitration
-   plus transfer) deposit into the network bucket, exactly as hop-counted
-   messages do on the switched fabrics. Integer-valued like every other
-   cost, so bulk deposits fold bit-identically. *)
-let bus_cycles t n = deposit t network_i (float_of_int n *. t.c.bus_cycle_pj)
-
-(* Snapshot the four accumulators as raw float bits (exact round trip). *)
-let save t w = Warden_util.Bin.w_float_array w t.acc
-
-let restore t r =
-  let acc = Warden_util.Bin.r_float_array r in
-  if Array.length acc <> 4 then Warden_util.Bin.corrupt "Energy: bad snapshot";
-  Array.blit acc 0 t.acc 0 4
-
-let core_pj t = t.acc.(core_i)
-let cache_pj t = t.acc.(cache_i)
-let dram_pj t = t.acc.(dram_i)
-let network_pj t = t.acc.(network_i)
-let processor_pj t = core_pj t +. cache_pj t +. dram_pj t
-let total_pj t = processor_pj t +. network_pj t
+let core_pj t = t.core_pj
+let cache_pj t = t.cache_pj
+let dram_pj t = t.dram_pj
+let network_pj t = t.network_pj
+let processor_pj t = t.core_pj +. t.cache_pj +. t.dram_pj
+let total_pj t = processor_pj t +. t.network_pj

@@ -1,12 +1,15 @@
-(** Event-based energy accounting, standing in for the McPAT power model
-    the paper uses (§7).
+(** Event-based energy pricing, standing in for the McPAT power model the
+    paper uses (§7).
 
-    Every memory-system event deposits a fixed energy cost into one of four
-    buckets. The paper's reported categories map as:
+    Energy is a pure function of event counts: each event has a fixed cost
+    and {!of_counts} prices a run's counts into four buckets. The
+    simulator counts each event once, in its statistics banks, and prices
+    them when asked ([Warden_sim.Memsys.energy]). The paper's reported
+    categories map as:
     - "Total Processor" = core + cache + DRAM buckets;
     - "Interconnect" / "Network" = the network bucket.
 
-    Costs default to published McPAT/CACTI ballparks for a 22 nm Xeon-class
+    Costs are published McPAT/CACTI ballparks for a 22 nm Xeon-class
     part; their absolute scale is irrelevant to the reproduced results,
     which are all relative (percent savings). *)
 
@@ -22,42 +25,37 @@ type costs = {
   cam_pj : float;  (** WARD range-CAM lookup. *)
   bus_cycle_pj : float;
       (** One cycle of shared-bus occupancy (arbitration or transfer) on a
-          snooping machine; deposits into the network bucket. *)
+          snooping machine; priced into the network bucket. *)
 }
 
 val default_costs : costs
+(** Whole numbers of pJ, so every ledger is exact. *)
 
 type t
+(** An immutable ledger of picojoules per bucket. *)
 
-val create : ?costs:costs -> unit -> t
+val of_counts :
+  core_cycles:int ->
+  l1:int ->
+  l2:int ->
+  l3:int ->
+  dir:int ->
+  cam:int ->
+  dram:int ->
+  msgs_ctl_intra:int ->
+  msgs_ctl_inter:int ->
+  msgs_data_intra:int ->
+  msgs_data_inter:int ->
+  bus_cycles:int ->
+  t
+(** Price event counts at {!default_costs}. [core_cycles] is the sum over
+    run phases of cores used × phase cycles. Cache accesses (l1, l2, l3),
+    directory accesses and CAM lookups go to the cache bucket, DRAM
+    accesses to the DRAM bucket, messages and bus cycles to the network
+    bucket. A control message costs one flit; a data message carries a
+    64-byte block and costs five. *)
 
-val costs : t -> costs
-
-(* Deposit events. *)
-val core_cycles : t -> cores:int -> cycles:int -> unit
-val l1_access : t -> unit
-val l2_access : t -> unit
-val l3_access : t -> unit
-val dir_access : t -> unit
-val dram_access : t -> unit
-
-val message : t -> inter_socket:bool -> data:bool -> unit
-(** Control messages cost one flit; [data] messages carry a 64-byte block
-    and cost five. *)
-
-val cam_lookup : t -> unit
-
-val bus_cycles : t -> int -> unit
-(** [n] cycles of shared-bus occupancy, deposited into the network bucket
-    (the bus is the snooping machine's interconnect). Integer-valued, so
-    bulk deposits are bit-identical to repeated single-cycle deposits. *)
-
-val save : t -> Warden_util.Bin.w -> unit
-(** Snapshot the four accumulators as raw float bits (exact). *)
-
-val restore : t -> Warden_util.Bin.r -> unit
-
-(* Read accumulated energy, in picojoules. *)
+(* Read energy, in picojoules. *)
 val core_pj : t -> float
 val cache_pj : t -> float
 val dram_pj : t -> float

@@ -4,9 +4,7 @@ type t = {
   cfg_level : Config.obs_level;
   lvl : int; (* 0 off / 1 counters / 2 full: branch on an int, not a sum *)
   ring : Ring.t;
-  counts : int array; (* indexed by event code *)
-  sums : int array; (* arg-weighted totals, same indexing *)
-  hist : Hist.t;
+  hist : Hist.t; (* per-code count, arg-weighted sum and histogram *)
   heat : Sink_heatmap.t;
   chrome : Sink_chrome.t;
   mutable now : int;
@@ -23,8 +21,6 @@ let create (cfg : Config.t) =
     cfg_level = cfg.obs_level;
     lvl;
     ring = Ring.create ~capacity:(if lvl >= 2 then ring_capacity else 16);
-    counts = Array.make Events.count 0;
-    sums = Array.make Events.count 0;
     hist = Hist.create ~classes:Events.count;
     heat = Sink_heatmap.create ();
     chrome = Sink_chrome.create ();
@@ -53,13 +49,8 @@ let push_record t ~code ~core ~blk ~arg =
     ignore (Ring.push t.ring ~code ~cycle:t.now ~core ~blk ~arg ~seq)
   end
 
-let bump t code arg =
-  Array.unsafe_set t.counts code (Array.unsafe_get t.counts code + 1);
-  Array.unsafe_set t.sums code (Array.unsafe_get t.sums code + arg)
-
 let access t ~cls ~core ~blk ~lat =
   if t.lvl >= 1 then begin
-    bump t cls lat;
     Hist.add t.hist ~cls lat;
     let hc = Events.heat_class cls in
     if hc >= 0 then Sink_heatmap.touch_block t.heat ~blk ~cls:hc;
@@ -69,8 +60,7 @@ let access t ~cls ~core ~blk ~lat =
 
 let event t ~code ~core ~blk ~arg =
   if t.lvl >= 1 then begin
-    bump t code arg;
-    if Events.duration_event code then Hist.add t.hist ~cls:code arg;
+    Hist.add t.hist ~cls:code arg;
     let hc = Events.heat_class code in
     if hc >= 0 then begin
       Sink_heatmap.touch_block t.heat ~blk ~cls:hc;
@@ -82,7 +72,7 @@ let event t ~code ~core ~blk ~arg =
 let region t ~core ~lo ~hi ~exit ~flushed =
   if t.lvl >= 1 then begin
     let code = if exit then Events.ward_exit else Events.ward_enter in
-    bump t code (if exit then flushed else 0);
+    Hist.add t.hist ~cls:code (if exit then flushed else 0);
     Sink_heatmap.touch_region t.heat ~lo ~hi ~exit ~flushed;
     if t.lvl >= 2 then
       let blk = Warden_mem.Addr.block_of lo in
@@ -93,13 +83,8 @@ let region t ~core ~lo ~hi ~exit ~flushed =
       push_record t ~code ~core ~blk ~arg
   end
 
-let count t code =
-  if code < 0 || code >= Events.count then invalid_arg "Obs.count: bad code"
-  else t.counts.(code)
-
-let sum t code =
-  if code < 0 || code >= Events.count then invalid_arg "Obs.sum: bad code"
-  else t.sums.(code)
+let count t code = Hist.count t.hist ~cls:code
+let sum t code = Hist.sum t.hist ~cls:code
 
 let hist t = t.hist
 let heat t = t.heat
@@ -110,8 +95,8 @@ let render_summary t =
   let rows =
     List.filter_map
       (fun code ->
-        if t.counts.(code) = 0 then None
-        else Some [ Events.name code; string_of_int t.counts.(code) ])
+        let n = count t code in
+        if n = 0 then None else Some [ Events.name code; string_of_int n ])
       (List.init Events.count Fun.id)
   in
   Buffer.add_string buf "Event counts\n";

@@ -47,7 +47,8 @@ val fold : t -> unit
 (** {2 Reading the sinks} *)
 
 val count : t -> int -> int
-(** Occurrences of an event code. *)
+(** Occurrences of an event code. Every recorded event goes into {!hist}
+    under its code, and [count] and {!sum} read it there. *)
 
 val sum : t -> int -> int
 (** Arg-weighted total of an event code: total latency cycles for access
@@ -56,7 +57,8 @@ val sum : t -> int -> int
     [sum obs Events.invalidation = Pstats.invalidations] exactly. *)
 
 val hist : t -> Hist.t
-(** Per-event-class value histograms (class = event code). *)
+(** Per-event-class value histograms (class = event code): latency for
+    access classes and duration events, the event's argument otherwise. *)
 
 val heat : t -> Sink_heatmap.t
 val chrome : t -> Sink_chrome.t

@@ -8,7 +8,6 @@ type probe = {
 
 type t = {
   config : Config.t;
-  energy : Energy.t;
   stats : Pstats.t;
   obs : Warden_obs.Obs.t;
   peek_priv : core:int -> blk:int -> probe option;
@@ -23,7 +22,6 @@ type t = {
 let num_cores t = Config.num_cores t.config
 
 let socket_of_core t core = Config.socket_of_core t.config core
-let home_socket t ~blk = Config.home_socket t.config blk
 
 let hop t ~from_socket ~to_socket = Config.hop_lat t.config ~from_socket ~to_socket
 
@@ -45,8 +43,7 @@ let msg t ~from_socket ~to_socket ~data =
      if inter then t.stats.Pstats.msgs_data_inter <- t.stats.Pstats.msgs_data_inter + 1
      else t.stats.Pstats.msgs_data_intra <- t.stats.Pstats.msgs_data_intra + 1
    else if inter then t.stats.Pstats.msgs_ctl_inter <- t.stats.Pstats.msgs_ctl_inter + 1
-   else t.stats.Pstats.msgs_ctl_intra <- t.stats.Pstats.msgs_ctl_intra + 1);
-  Energy.message t.energy ~inter_socket:inter ~data
+   else t.stats.Pstats.msgs_ctl_intra <- t.stats.Pstats.msgs_ctl_intra + 1)
 
 let dir_msg t ~socket ~blk ~data =
   let inter =
@@ -56,36 +53,31 @@ let dir_msg t ~socket ~blk ~data =
      if inter then t.stats.Pstats.msgs_data_inter <- t.stats.Pstats.msgs_data_inter + 1
      else t.stats.Pstats.msgs_data_intra <- t.stats.Pstats.msgs_data_intra + 1
    else if inter then t.stats.Pstats.msgs_ctl_inter <- t.stats.Pstats.msgs_ctl_inter + 1
-   else t.stats.Pstats.msgs_ctl_intra <- t.stats.Pstats.msgs_ctl_intra + 1);
-  Energy.message t.energy ~inter_socket:inter ~data
+   else t.stats.Pstats.msgs_ctl_intra <- t.stats.Pstats.msgs_ctl_intra + 1)
 
 let dir_access t =
-  t.stats.Pstats.dir_accesses <- t.stats.Pstats.dir_accesses + 1;
-  Energy.dir_access t.energy
+  t.stats.Pstats.dir_accesses <- t.stats.Pstats.dir_accesses + 1
 
 (* Shared-bus accounting (snooping fabrics). The bus is the machine's
-   interconnect, so its occupancy deposits network energy the same way
-   hop-counted messages do on the switched fabrics; arbitration and
+   interconnect, so its occupancy is priced as network energy the same
+   way hop-counted messages are on the switched fabrics; arbitration and
    transfer cycles are kept distinct in the stats so the bench can report
    contention separately from bandwidth. *)
 let bus_txn t ~arb ~busy =
   t.stats.Pstats.bus_txns <- t.stats.Pstats.bus_txns + 1;
   t.stats.Pstats.bus_arb_cycles <- t.stats.Pstats.bus_arb_cycles + arb;
-  t.stats.Pstats.bus_busy_cycles <- t.stats.Pstats.bus_busy_cycles + busy;
-  Energy.bus_cycles t.energy (arb + busy)
+  t.stats.Pstats.bus_busy_cycles <- t.stats.Pstats.bus_busy_cycles + busy
 
 (* One message on the broadcast bus. Every snooper observes it, but it is
    a single wire transaction: counted once, as an intra-complex message. *)
 let bus_msg t ~data =
   (if data then
      t.stats.Pstats.msgs_data_intra <- t.stats.Pstats.msgs_data_intra + 1
-   else t.stats.Pstats.msgs_ctl_intra <- t.stats.Pstats.msgs_ctl_intra + 1);
-  Energy.message t.energy ~inter_socket:false ~data
+   else t.stats.Pstats.msgs_ctl_intra <- t.stats.Pstats.msgs_ctl_intra + 1)
 
 let snoops t n = t.stats.Pstats.snoops <- t.stats.Pstats.snoops + n
 
 let shared_read_latency t where =
-  Energy.l3_access t.energy;
   match where with
   | `L3 ->
       t.stats.Pstats.l3_hits <- t.stats.Pstats.l3_hits + 1;
@@ -96,7 +88,6 @@ let shared_read_latency t where =
   | `Dram ->
       t.stats.Pstats.l3_misses <- t.stats.Pstats.l3_misses + 1;
       t.stats.Pstats.dram_reads <- t.stats.Pstats.dram_reads + 1;
-      Energy.dram_access t.energy;
       let extra =
         if t.config.Config.dram_remote then 2 * t.config.Config.inter_socket_lat
         else 0

@@ -5,7 +5,8 @@
     take: probe/invalidate/downgrade a private cache's copy, and read or
     merge blocks at the shared cache (which transparently falls through to
     memory). Latency arithmetic and message accounting also live here so
-    both protocols charge costs identically. *)
+    every protocol charges costs identically. Accounting is counting only:
+    energy is priced from [stats] afterwards ([Warden_sim.Memsys.energy]). *)
 
 type probe = {
   levels : int;
@@ -20,7 +21,6 @@ type probe = {
 
 type t = {
   config : Warden_machine.Config.t;
-  energy : Warden_machine.Energy.t;
   stats : Pstats.t;
   obs : Warden_obs.Obs.t;
       (** Event recorder (DESIGN.md §12); a no-op shell at [Obs_off].
@@ -52,7 +52,6 @@ type t = {
 }
 
 val socket_of_core : t -> int -> int
-val home_socket : t -> blk:int -> int
 val num_cores : t -> int
 
 val hop : t -> from_socket:int -> to_socket:int -> int
@@ -79,20 +78,21 @@ val dir_hop : t -> socket:int -> blk:int -> int
     crossing the fabric on a disaggregated machine. *)
 
 val msg : t -> from_socket:int -> to_socket:int -> data:bool -> unit
-(** Count one protocol message and deposit its network energy. *)
+(** Count one protocol message. *)
 
 val dir_access : t -> unit
 (** Count a directory lookup/update. *)
 
 val shared_read_latency : t -> [ `L3 | `Dram | `Zero ] -> int
 (** L3 access latency, plus DRAM latency on a miss (doubled-leg remote
-    memory when the machine is disaggregated), with stats/energy counted. *)
+    memory when the machine is disaggregated), with the L3/DRAM access
+    counted. *)
 
 val bus_txn : t -> arb:int -> busy:int -> unit
 (** Account one shared-bus transaction: [arb] cycles waiting for the
-    round-robin arbiter and [busy] cycles of bus occupancy, with the
-    combined cycles deposited as network energy (the bus is the snooping
-    machine's interconnect, as hops are the switched machines'). *)
+    round-robin arbiter and [busy] cycles of bus occupancy. Both are
+    priced as network energy (the bus is the snooping machine's
+    interconnect, as hops are the switched machines'). *)
 
 val bus_msg : t -> data:bool -> unit
 (** Count one broadcast-bus message. Every snooper observes it but it is a

@@ -68,7 +68,7 @@ val handle_evict :
   unit
 (** A private hierarchy evicted its copy: PutM (full-line dirty writeback),
     PutE or PutS. Off the critical path — no latency is charged to the
-    thread, but messages and energy are counted. Precondition: the
+    thread, but messages are counted. Precondition: the
     directory entry is not [D_W]. *)
 
 val flush_block : Fabric.t -> Dirstate.t -> blk:int -> unit

@@ -16,8 +16,9 @@ open States
    The request/grant shape is the one {!Protocol.S} prescribes; what
    changed to admit this protocol is the fabric: probes expose the copy's
    state (ownership is discovered, not recorded) and the bus's arbitration
-   and occupancy cycles flow into {!Pstats}/{!Energy} through
-   {!Fabric.bus_txn} exactly as hop latency does on switched fabrics. *)
+   and occupancy cycles flow into {!Pstats}, and from there into energy,
+   through {!Fabric.bus_txn} exactly as hop latency does on switched
+   fabrics. *)
 
 module P = struct
   type t = { fabric : Fabric.t; bus : Bus.t; scratch : Mesi.grant }

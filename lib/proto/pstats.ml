@@ -11,12 +11,12 @@ type t = {
   mutable l3_hits : int;
   mutable l3_misses : int;
   mutable dram_reads : int;
-  mutable dram_writes : int;
   mutable zero_fills : int;
   mutable ward_grants : int;
   mutable ward_adds : int;
   mutable ward_removes : int;
   mutable ward_rejects : int;
+  mutable cam_lookups : int;
   mutable recon_blocks : int;
   mutable recon_flushes : int;
   mutable bus_txns : int;
@@ -44,12 +44,12 @@ let create () =
     l3_hits = 0;
     l3_misses = 0;
     dram_reads = 0;
-    dram_writes = 0;
     zero_fills = 0;
     ward_grants = 0;
     ward_adds = 0;
     ward_removes = 0;
     ward_rejects = 0;
+    cam_lookups = 0;
     recon_blocks = 0;
     recon_flushes = 0;
     bus_txns = 0;
@@ -77,12 +77,12 @@ let save t w =
   B.w_int w t.l3_hits;
   B.w_int w t.l3_misses;
   B.w_int w t.dram_reads;
-  B.w_int w t.dram_writes;
   B.w_int w t.zero_fills;
   B.w_int w t.ward_grants;
   B.w_int w t.ward_adds;
   B.w_int w t.ward_removes;
   B.w_int w t.ward_rejects;
+  B.w_int w t.cam_lookups;
   B.w_int w t.recon_blocks;
   B.w_int w t.recon_flushes;
   B.w_int w t.bus_txns;
@@ -109,12 +109,12 @@ let restore t r =
   t.l3_hits <- B.r_int r;
   t.l3_misses <- B.r_int r;
   t.dram_reads <- B.r_int r;
-  t.dram_writes <- B.r_int r;
   t.zero_fills <- B.r_int r;
   t.ward_grants <- B.r_int r;
   t.ward_adds <- B.r_int r;
   t.ward_removes <- B.r_int r;
   t.ward_rejects <- B.r_int r;
+  t.cam_lookups <- B.r_int r;
   t.recon_blocks <- B.r_int r;
   t.recon_flushes <- B.r_int r;
   t.bus_txns <- B.r_int r;
@@ -130,37 +130,3 @@ let restore t r =
 let total_msgs t =
   t.msgs_ctl_intra + t.msgs_ctl_inter + t.msgs_data_intra + t.msgs_data_inter
 
-let copy t = { t with dir_accesses = t.dir_accesses }
-
-let diff ~baseline t =
-  {
-    dir_accesses = baseline.dir_accesses - t.dir_accesses;
-    invalidations = baseline.invalidations - t.invalidations;
-    downgrades = baseline.downgrades - t.downgrades;
-    fwds = baseline.fwds - t.fwds;
-    msgs_ctl_intra = baseline.msgs_ctl_intra - t.msgs_ctl_intra;
-    msgs_ctl_inter = baseline.msgs_ctl_inter - t.msgs_ctl_inter;
-    msgs_data_intra = baseline.msgs_data_intra - t.msgs_data_intra;
-    msgs_data_inter = baseline.msgs_data_inter - t.msgs_data_inter;
-    writebacks = baseline.writebacks - t.writebacks;
-    l3_hits = baseline.l3_hits - t.l3_hits;
-    l3_misses = baseline.l3_misses - t.l3_misses;
-    dram_reads = baseline.dram_reads - t.dram_reads;
-    dram_writes = baseline.dram_writes - t.dram_writes;
-    zero_fills = baseline.zero_fills - t.zero_fills;
-    ward_grants = baseline.ward_grants - t.ward_grants;
-    ward_adds = baseline.ward_adds - t.ward_adds;
-    ward_removes = baseline.ward_removes - t.ward_removes;
-    ward_rejects = baseline.ward_rejects - t.ward_rejects;
-    recon_blocks = baseline.recon_blocks - t.recon_blocks;
-    recon_flushes = baseline.recon_flushes - t.recon_flushes;
-    bus_txns = baseline.bus_txns - t.bus_txns;
-    bus_arb_cycles = baseline.bus_arb_cycles - t.bus_arb_cycles;
-    bus_busy_cycles = baseline.bus_busy_cycles - t.bus_busy_cycles;
-    snoops = baseline.snoops - t.snoops;
-    c2c_transfers = baseline.c2c_transfers - t.c2c_transfers;
-    self_invs = baseline.self_invs - t.self_invs;
-    self_downs = baseline.self_downs - t.self_downs;
-    acquires = baseline.acquires - t.acquires;
-    releases = baseline.releases - t.releases;
-  }

@@ -1,7 +1,8 @@
 (** Mutable counters maintained by the coherence protocols.
 
     The evaluation figures are all computed from differences of these
-    counters between a MESI run and a WARDen run of the same program. *)
+    counters between a MESI run and a WARDen run of the same program;
+    energy is priced from them too ([Warden_sim.Memsys.energy]). *)
 
 type t = {
   mutable dir_accesses : int;
@@ -20,13 +21,13 @@ type t = {
   mutable l3_hits : int;
   mutable l3_misses : int;
   mutable dram_reads : int;
-  mutable dram_writes : int;
   mutable zero_fills : int;
       (** LLC misses satisfied by zero-filling never-written memory. *)
   mutable ward_grants : int;  (** Requests satisfied in the W state. *)
   mutable ward_adds : int;
   mutable ward_removes : int;
   mutable ward_rejects : int;  (** Region adds refused by a full CAM. *)
+  mutable cam_lookups : int;  (** WARD range-CAM lookups, one per request. *)
   mutable recon_blocks : int;  (** Blocks processed by reconciliation. *)
   mutable recon_flushes : int;  (** Private copies flushed by reconciliation. *)
   mutable bus_txns : int;  (** Shared-bus transactions (snooping fabrics). *)
@@ -54,7 +55,3 @@ val restore : t -> Warden_util.Bin.r -> unit
 
 val total_msgs : t -> int
 
-val copy : t -> t
-
-val diff : baseline:t -> t -> t
-(** Field-wise [baseline - t]: how many events the run under test avoided. *)

@@ -299,10 +299,11 @@ let run t bodies =
     min (Config.num_cores t.cfg)
       ((n + t.cfg.Config.threads_per_core - 1) / t.cfg.Config.threads_per_core)
   in
-  (* Charge only this phase's cycle delta: a single-phase run starts at
-     cycle 0 and pays the full makespan, unchanged. *)
-  Energy.core_cycles (Memsys.energy t.ms) ~cores:cores_used
-    ~cycles:(max 0 (!makespan - cycles_at_start));
+  (* Count only this phase's cycle delta, at this phase's core count: a
+     single-phase run starts at cycle 0 and pays the full makespan. *)
+  t.stats.Sstats.core_cycles <-
+    t.stats.Sstats.core_cycles
+    + (cores_used * max 0 (!makespan - cycles_at_start));
   !makespan
 
 (* --- snapshot/restore (DESIGN.md §15) ------------------------------------ *)

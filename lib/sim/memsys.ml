@@ -27,7 +27,6 @@ let no_sink _ _ _ _ _ = ()
 
 type t = {
   cfg : Config.t;
-  energy : Energy.t;
   pstats : Pstats.t;
   sstats : Sstats.t;
   obs : Obs.t;
@@ -55,7 +54,22 @@ let protocol t = the_proto t
 let pstats t = t.pstats
 
 let sstats t = t.sstats
-let energy t = t.energy
+
+(* Energy is priced from the event counters when asked: this is the one
+   place that knows which counter pays for which event. *)
+let energy t =
+  let ss = t.sstats and ps = t.pstats in
+  Energy.of_counts ~core_cycles:ss.Sstats.core_cycles
+    ~l1:(ss.Sstats.loads + ss.Sstats.stores + ss.Sstats.rmws)
+    ~l2:(ss.Sstats.l2_hits + ss.Sstats.priv_misses)
+    ~l3:(ps.Pstats.l3_hits + ps.Pstats.l3_misses + ps.Pstats.zero_fills)
+    ~dir:ps.Pstats.dir_accesses ~cam:ps.Pstats.cam_lookups
+    ~dram:ps.Pstats.dram_reads ~msgs_ctl_intra:ps.Pstats.msgs_ctl_intra
+    ~msgs_ctl_inter:ps.Pstats.msgs_ctl_inter
+    ~msgs_data_intra:ps.Pstats.msgs_data_intra
+    ~msgs_data_inter:ps.Pstats.msgs_data_inter
+    ~bus_cycles:(ps.Pstats.bus_arb_cycles + ps.Pstats.bus_busy_cycles)
+
 let obs t = t.obs
 
 let set_trace_sink t s =
@@ -68,7 +82,6 @@ let set_trace_sink t s =
       t.sink_on <- true
 
 let create cfg ~proto =
-  let energy = Energy.create () in
   let pstats = Pstats.create () in
   let sstats = Sstats.create ~threads:(Config.num_threads cfg) in
   let store = Store.create () in
@@ -77,7 +90,6 @@ let create cfg ~proto =
   let t =
     {
       cfg;
-      energy;
       pstats;
       sstats;
       obs;
@@ -101,7 +113,6 @@ let create cfg ~proto =
   let fabric =
     {
       Fabric.config = cfg;
-      energy;
       stats = pstats;
       obs;
       peek_priv = (fun ~core ~blk -> Privcache.peek t.priv.(core) ~blk);
@@ -135,7 +146,6 @@ let access_line t ~thread ~blk ~write =
   let core = Config.core_of_thread t.cfg thread in
   let pc = t.priv.(core) in
   let ss = t.sstats in
-  Energy.l1_access t.energy;
   match Privcache.lookup pc ~blk ~write with
   | Privcache.Hit { line; lat; level } ->
       (match level with
@@ -144,12 +154,10 @@ let access_line t ~thread ~blk ~write =
           if t.obs_on then Obs.access t.obs ~cls:Oev.l1_hit ~core ~blk ~lat
       | `L2 ->
           ss.Sstats.l2_hits <- ss.Sstats.l2_hits + 1;
-          Energy.l2_access t.energy;
           if t.obs_on then Obs.access t.obs ~cls:Oev.l2_hit ~core ~blk ~lat);
       (line, lat)
   | Privcache.Upgrade line ->
       ss.Sstats.priv_misses <- ss.Sstats.priv_misses + 1;
-      Energy.l2_access t.energy;
       let g =
         Protocol.handle_request (the_proto t) ~core ~blk ~write:true ~holds_s:true
       in
@@ -162,7 +170,6 @@ let access_line t ~thread ~blk ~write =
       (line, lat)
   | Privcache.Miss ->
       ss.Sstats.priv_misses <- ss.Sstats.priv_misses + 1;
-      Energy.l2_access t.energy;
       let g =
         Protocol.handle_request (the_proto t) ~core ~blk ~write ~holds_s:false
       in
@@ -266,7 +273,7 @@ let release t ~thread =
     ~core:(Config.core_of_thread t.cfg thread)
 
 (* Fast-path accessors: commit iff the access is a private-cache hit
-   needing no protocol transition, with event/energy accounting identical
+   needing no protocol transition, with event accounting identical
    to the scheduled [load]/[store]/[rmw] paths; return the latency on a
    hit and [-1] — with no state change — otherwise. The engine uses these
    to satisfy accesses inline, without suspending the thread into the run
@@ -277,7 +284,6 @@ let release t ~thread =
 
 let fast_hit_accounting t ~core ~blk (l1 : bool) =
   let ss = t.sstats in
-  Energy.l1_access t.energy;
   if l1 then begin
     ss.Sstats.l1_hits <- ss.Sstats.l1_hits + 1;
     let lat = t.cfg.Config.l1_lat in
@@ -286,7 +292,6 @@ let fast_hit_accounting t ~core ~blk (l1 : bool) =
   end
   else begin
     ss.Sstats.l2_hits <- ss.Sstats.l2_hits + 1;
-    Energy.l2_access t.energy;
     let lat = t.cfg.Config.l2_lat in
     if t.obs_on then Obs.access t.obs ~cls:Oev.l2_hit ~core ~blk ~lat;
     lat
@@ -352,7 +357,7 @@ let try_fast_rmw t ~thread addr ~size f =
    RMW's new value is recorded, so the hit path skips loading the old
    value. No sink fires: recording during replay is unsupported (the
    stream itself is the recording). Every state mutation and every
-   stats/energy/obs account is identical to the live paths, which is
+   stats/obs account is identical to the live paths, which is
    what makes replayed final stats bit-identical to the recorded run. *)
 
 let replay_load t ~thread addr ~size =
@@ -456,7 +461,6 @@ let save_state t w =
   Protocol.save_state (the_proto t) w;
   Pstats.save t.pstats w;
   Sstats.save t.sstats w;
-  Energy.save t.energy w;
   Warden_util.Bin.w_int w t.bump
 
 let restore_state t r =
@@ -469,7 +473,6 @@ let restore_state t r =
   Protocol.restore_state (the_proto t) r;
   Pstats.restore t.pstats r;
   Sstats.restore t.sstats r;
-  Energy.restore t.energy r;
   t.bump <- Warden_util.Bin.r_int r;
   (* Valid only between a successful fast access and its consumer, never
      across a quiescent point. *)

@@ -1,7 +1,7 @@
 (** The complete simulated memory system: per-core private hierarchies, the
     socket-interleaved shared LLC, the directory-based protocol (MESI or
-    WARDen) and the backing store, with unified latency, event and energy
-    accounting.
+    WARDen) and the backing store, with unified latency and event
+    accounting; energy is priced from the event counts.
 
     All simulated data lives in the cache lines and the store — a load's
     value really comes from the copy coherence delivered, so protocol bugs
@@ -26,7 +26,8 @@ val sstats : t -> Sstats.t
 (** Access statistics (the live record). *)
 
 val energy : t -> Warden_machine.Energy.t
-(** The energy model, shared with the protocols through the fabric. *)
+(** The run's energy so far, priced from {!sstats} and {!pstats} at the
+    moment of the call: a value, not a live view. *)
 
 val obs : t -> Warden_obs.Obs.t
 (** The run's event recorder (DESIGN.md §12). The same instance is exposed
@@ -95,7 +96,7 @@ val replay_load : t -> thread:int -> Warden_mem.Addr.t -> size:int -> unit
     fallback fused in, minus the value materialization a replayed
     stream never observes ([fast_value] is left stale — it is never
     snapshotted and is reset across quiescent points). State mutations
-    and stats/energy/obs accounting are identical to the live paths, so
+    and stats/obs accounting are identical to the live paths, so
     replaying a recorded stream reproduces the recorded run's final
     memory-system stats bit for bit. No trace sink fires. *)
 
@@ -166,7 +167,7 @@ val set_trace_sink :
 val save_state : t -> Warden_util.Bin.w -> unit
 (** Serialize the complete simulated memory-system state — store pages,
     LLC slices, private hierarchies, protocol state (directory + region
-    CAM), stats, energy, and the bump allocator. Only meaningful at
+    CAM), stats, and the bump allocator. Only meaningful at
     quiescent points (between {!Engine.run}s). *)
 
 val restore_state : t -> Warden_util.Bin.r -> unit

@@ -8,6 +8,7 @@ type t = {
   mutable priv_misses : int;
   mutable sb_stalls : int;
   mutable cycles : int;
+  mutable core_cycles : int;
   per_thread_instructions : int array;
 }
 
@@ -22,6 +23,7 @@ let create ~threads =
     priv_misses = 0;
     sb_stalls = 0;
     cycles = 0;
+    core_cycles = 0;
     per_thread_instructions = Array.make threads 0;
   }
 
@@ -36,6 +38,7 @@ let save t w =
   B.w_int w t.priv_misses;
   B.w_int w t.sb_stalls;
   B.w_int w t.cycles;
+  B.w_int w t.core_cycles;
   B.w_int_array w t.per_thread_instructions
 
 let restore t r =
@@ -49,6 +52,7 @@ let restore t r =
   t.priv_misses <- B.r_int r;
   t.sb_stalls <- B.r_int r;
   t.cycles <- B.r_int r;
+  t.core_cycles <- B.r_int r;
   let pti = B.r_int_array r in
   if Array.length pti <> Array.length t.per_thread_instructions then
     B.corrupt "Sstats: thread count mismatch";
@@ -57,5 +61,3 @@ let restore t r =
 let ipc t =
   if t.cycles = 0 then 0.
   else float_of_int t.instructions /. float_of_int t.cycles
-
-let kilo_instructions t = float_of_int t.instructions /. 1000.

@@ -11,6 +11,10 @@ type t = {
   mutable priv_misses : int;  (** Accesses that left the private hierarchy. *)
   mutable sb_stalls : int;  (** Stores that found the store buffer full. *)
   mutable cycles : int;  (** Makespan; set when the run finishes. *)
+  mutable core_cycles : int;
+      (** Sum over runs of cores used × the run's cycles: what the core
+          energy bucket charges, since phases may use different core
+          counts. *)
   per_thread_instructions : int array;
 }
 
@@ -23,5 +27,3 @@ val restore : t -> Warden_util.Bin.r -> unit
 val ipc : t -> float
 (** Aggregate instructions per cycle across all hardware threads
     ([instructions / cycles]). *)
-
-val kilo_instructions : t -> float

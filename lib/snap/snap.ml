@@ -6,8 +6,11 @@ module Protocol = Warden_proto.Protocol
 
 let magic = "WSNP"
 (* 2: the engine payload no longer carries the sharded scheduler's
-   enqueue sequence, commit window and pop count. *)
-let version = 2
+   enqueue sequence, commit window and pop count.
+   3: no energy accumulators (energy is priced from the counters); the
+   counters gain Sstats.core_cycles and Pstats.cam_lookups and lose the
+   DRAM write counter, which nothing ever incremented. *)
+let version = 3
 
 (* The fingerprint is every configuration value the simulated results
    depend on, written as actual values (not a hash) so a mismatch names

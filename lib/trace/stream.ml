@@ -181,12 +181,12 @@ let stats_text ms =
   line "l3_hits" ps.Pstats.l3_hits;
   line "l3_misses" ps.Pstats.l3_misses;
   line "dram_reads" ps.Pstats.dram_reads;
-  line "dram_writes" ps.Pstats.dram_writes;
   line "zero_fills" ps.Pstats.zero_fills;
   line "ward_grants" ps.Pstats.ward_grants;
   line "ward_adds" ps.Pstats.ward_adds;
   line "ward_removes" ps.Pstats.ward_removes;
   line "ward_rejects" ps.Pstats.ward_rejects;
+  line "cam_lookups" ps.Pstats.cam_lookups;
   line "recon_blocks" ps.Pstats.recon_blocks;
   line "recon_flushes" ps.Pstats.recon_flushes;
   line "bus_txns" ps.Pstats.bus_txns;

@@ -145,11 +145,11 @@ let test_world_dump_and_observe () =
 
 let sinks w =
   let f = Protocol.fabric (World.proto w) in
-  (f.Fabric.energy, f.Fabric.stats, f.Fabric.obs)
+  (f.Fabric.stats, f.Fabric.obs)
 
 let shares_sinks a b =
-  let ea, sa, oa = sinks a and eb, sb, ob = sinks b in
-  ea == eb && sa == sb && oa == ob
+  let sa, oa = sinks a and sb, ob = sinks b in
+  sa == sb && oa == ob
 
 (* A fork reuses its root's write-only accounting sinks and owns all the
    rest: one more operation on a fork leaves its parent untouched. The ops
@@ -178,7 +178,7 @@ let test_fork_contract () =
         (World.key w);
       Alcotest.(check string) (name ^ ": parent dump unchanged") dump
         (World.dump w);
-      Alcotest.(check bool) (name ^ ": fork shares energy, stats and obs") true
+      Alcotest.(check bool) (name ^ ": fork shares stats and obs") true
         (shares_sinks w f))
     [
       Op.Region_remove 0;

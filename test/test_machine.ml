@@ -134,36 +134,46 @@ let test_pp_round_trip_many_socket () =
 
 (* --- Energy ------------------------------------------------------------- *)
 
+(* A ledger priced from the given counts, every other count zero. *)
+let ledger ?(core_cycles = 0) ?(l1 = 0) ?(l2 = 0) ?(l3 = 0) ?(dir = 0)
+    ?(cam = 0) ?(dram = 0) ?(msgs_ctl_intra = 0) ?(msgs_ctl_inter = 0)
+    ?(msgs_data_intra = 0) ?(msgs_data_inter = 0) ?(bus_cycles = 0) () =
+  Energy.of_counts ~core_cycles ~l1 ~l2 ~l3 ~dir ~cam ~dram ~msgs_ctl_intra
+    ~msgs_ctl_inter ~msgs_data_intra ~msgs_data_inter ~bus_cycles
+
 let test_energy_buckets () =
-  let e = Energy.create () in
-  Energy.core_cycles e ~cores:2 ~cycles:100;
-  Energy.l1_access e;
-  Energy.l2_access e;
-  Energy.l3_access e;
-  Energy.dram_access e;
-  let c = Energy.costs e in
-  Alcotest.(check (float 1e-6)) "core bucket"
+  let c = Energy.default_costs in
+  let e =
+    ledger ~core_cycles:(2 * 100) ~l1:3 ~l2:1 ~l3:1 ~dir:2 ~cam:1 ~dram:1 ()
+  in
+  Alcotest.(check (float 0.)) "core bucket"
     (2. *. 100. *. c.Energy.core_cycle_pj)
     (Energy.core_pj e);
-  Alcotest.(check (float 1e-6)) "cache bucket"
-    (c.Energy.l1_pj +. c.Energy.l2_pj +. c.Energy.l3_pj)
+  Alcotest.(check (float 0.)) "cache bucket"
+    ((3. *. c.Energy.l1_pj) +. c.Energy.l2_pj +. c.Energy.l3_pj
+    +. (2. *. c.Energy.dir_pj) +. c.Energy.cam_pj)
     (Energy.cache_pj e);
-  Alcotest.(check (float 1e-6)) "dram bucket" c.Energy.dram_pj (Energy.dram_pj e);
-  Alcotest.(check (float 1e-6)) "processor = core+cache+dram"
+  Alcotest.(check (float 0.)) "dram bucket" c.Energy.dram_pj (Energy.dram_pj e);
+  Alcotest.(check (float 0.)) "no network" 0. (Energy.network_pj e);
+  Alcotest.(check (float 0.)) "processor = core+cache+dram"
     (Energy.core_pj e +. Energy.cache_pj e +. Energy.dram_pj e)
     (Energy.processor_pj e)
 
 let test_energy_messages () =
-  let e = Energy.create () in
-  let c = Energy.costs e in
-  Energy.message e ~inter_socket:false ~data:false;
-  Alcotest.(check (float 1e-6)) "intra ctl" c.Energy.msg_intra_pj
+  let c = Energy.default_costs in
+  let e = ledger ~msgs_ctl_intra:1 () in
+  Alcotest.(check (float 0.)) "intra ctl" c.Energy.msg_intra_pj
     (Energy.network_pj e);
-  Energy.message e ~inter_socket:true ~data:true;
-  Alcotest.(check (float 1e-6)) "inter data = 5 flits"
+  let e = ledger ~msgs_ctl_intra:1 ~msgs_data_inter:1 () in
+  Alcotest.(check (float 0.)) "inter data = 5 flits"
     (c.Energy.msg_intra_pj +. (5. *. c.Energy.msg_inter_pj))
     (Energy.network_pj e);
-  Alcotest.(check (float 1e-6)) "total = processor + network"
+  let e = ledger ~msgs_ctl_inter:2 ~msgs_data_intra:1 ~bus_cycles:7 ~l1:1 () in
+  Alcotest.(check (float 0.)) "bus cycles price as network"
+    ((2. *. c.Energy.msg_inter_pj) +. (5. *. c.Energy.msg_intra_pj)
+    +. (7. *. c.Energy.bus_cycle_pj))
+    (Energy.network_pj e);
+  Alcotest.(check (float 0.)) "total = processor + network"
     (Energy.processor_pj e +. Energy.network_pj e)
     (Energy.total_pj e)
 

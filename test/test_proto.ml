@@ -40,7 +40,6 @@ let mk_mini ?(cfg = Config.dual_socket ()) () =
   let fabric =
     {
       Fabric.config = cfg;
-      energy = Energy.create ();
       stats = Pstats.create ();
       obs = Warden_obs.Obs.create cfg;
       peek_priv = probe;

@@ -297,20 +297,20 @@ let test_snapshot_corruption () =
     in
     at 0
   in
-  (* A version-1 envelope (from before the single-queue engine payload)
-     is refused, naming both versions. *)
-  let v1 =
+  (* A version-2 envelope (from before energy was priced from the
+     counters) is refused, naming both versions. *)
+  let v2 =
     let w = Bin.writer () in
     Bin.w_string w "WSNP";
-    Bin.w_int w 1;
+    Bin.w_int w 2;
     Bin.w_bytes w b;
     Bin.w_int w (Bin.checksum b ~pos:0 ~len:(Bytes.length b));
     Bin.contents w
   in
-  Alcotest.(check bool) "v1 header refused, naming versions 1 and 2" true
-    (match Snap.restore (fresh ()) v1 with
+  Alcotest.(check bool) "v2 header refused, naming versions 2 and 3" true
+    (match Snap.restore (fresh ()) v2 with
     | exception Bin.Corrupt msg ->
-        contains msg "version 1" && contains msg "reads 2"
+        contains msg "version 2" && contains msg "reads 3"
     | _ -> false);
   (* Fingerprint: a different protocol refuses the snapshot, naming the
      field. *)
